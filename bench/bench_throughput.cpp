@@ -375,7 +375,6 @@ int main(int argc, char** argv) {
   serve::ServeOptions chaos_opts(sopts);
   chaos_opts.with_max_attempts(4)
       .with_session_timeout_factor(3.0)
-      .with_session_timeout_floor(kind == backend::Kind::Thread ? 0.2 : 0.05)
       .with_retry_backoff(1e-3, 1e-2, chaos_seed)
       .with_params(sim::CostParams{1e-7, 1e-9, 1e-10})
       // Faults inject at comm ops, so the chaos segment needs multi-rank

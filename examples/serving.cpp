@@ -47,7 +47,7 @@ int main() {
 
   double worst = 0.0;
   for (int j = 0; j < kJobs; ++j) {
-    la::Matrix dx = la::copy<double>(handles[static_cast<std::size_t>(j)].solution().view());
+    la::Matrix dx = la::copy<double>(handles[static_cast<std::size_t>(j)].get().view());
     la::add(-1.0, la::ConstMatrixView(truths[static_cast<std::size_t>(j)].view()), dx.view());
     worst = std::max(worst, la::frobenius_norm(dx.view()));
   }

@@ -35,19 +35,29 @@ std::exception_ptr abort_error() {
 /// must not thrash the profiler.
 constexpr std::uint64_t kDriftMinSamples = 8;
 
-/// One serving-span instant on track 1 (the job lane is the sequence
-/// number), timestamped now.
-void trace_instant(const std::shared_ptr<obs::TraceSink>& tr, const char* name,
-                   std::uint64_t seq, double t) {
+/// Clean sessions a stall-quarantined rank sits out before reinstatement.
+constexpr int kQuarantineProbation = 2;
+
+/// Record one serving-track (track 1) event: a span [t0, t1], or an instant
+/// (t1 == t0).  `lane` is the Chrome row — the job's sequence number, or -1
+/// for the dispatcher — and `id` the job sequence number or session round.
+void trace_serving(obs::TraceSink& tr, obs::TraceEvent::Kind kind, const char* name, int lane,
+                   std::uint64_t id, double t0, double t1, int peer = -1, double words = 0.0) {
   obs::TraceEvent ev;
-  ev.kind = obs::TraceEvent::Kind::Instant;
+  ev.kind = kind;
   ev.track = 1;
-  ev.rank = static_cast<int>(seq);
-  ev.id = seq;
+  ev.rank = lane;
+  ev.id = id;
+  ev.peer = peer;
+  ev.words = words;
   ev.name = name;
-  ev.t0 = ev.t1 = t;
-  tr->record(std::move(ev));
+  ev.t0 = t0;
+  ev.t1 = t1;
+  tr.record(std::move(ev));
 }
+
+constexpr auto kSpan = obs::TraceEvent::Kind::Span;
+constexpr auto kInstant = obs::TraceEvent::Kind::Instant;
 
 }  // namespace
 
@@ -90,26 +100,11 @@ ServeOptions& ServeOptions::with_session_timeout_factor(double factor) {
   return *this;
 }
 
-ServeOptions& ServeOptions::with_session_timeout_floor(double seconds) {
-  QR3D_CHECK(seconds >= 0.0, "ServeOptions: session_timeout_floor must be >= 0");
-  session_timeout_floor_ = seconds;
-  return *this;
-}
-
-ServeOptions& ServeOptions::with_quarantine_probation(int sessions) {
-  QR3D_CHECK(sessions >= 0,
-             "ServeOptions: quarantine_probation must be >= 0 (0 disables quarantine)");
-  quarantine_probation_ = sessions;
-  return *this;
-}
-
 ServeOptions& ServeOptions::with_retry_backoff(double base_seconds, double cap_seconds,
                                                std::uint64_t seed) {
   QR3D_CHECK(base_seconds >= 0.0 && cap_seconds >= 0.0,
              "ServeOptions: retry backoff base and cap must be >= 0");
-  retry_backoff_base_ = base_seconds;
-  retry_backoff_cap_ = cap_seconds;
-  retry_backoff_seed_ = seed;
+  retry_backoff_ = health::Backoff(base_seconds, cap_seconds, seed);
   return *this;
 }
 
@@ -229,6 +224,24 @@ GroupChoice choose_group_ranks(la::index_t m, la::index_t n, int jobs, int P,
   return best;
 }
 
+SessionOutcome classify_session(bool threw, bool threw_rank_death, bool any_deaths,
+                                bool timed_out, bool any_unfinished) {
+  SessionOutcome out;
+  // A rank death (fault::RankDeath, or the machine reporting deaths after a
+  // run that otherwise ended cleanly) and a session timeout (fail-slow,
+  // converted to fail-stop by the deadline) are both recoverable by
+  // requeueing; anything else is final.
+  out.recoverable = any_deaths || (threw && threw_rank_death) || timed_out;
+  out.cause = timed_out ? RetryCause::Timeout : RetryCause::RankDeath;
+  out.synthesize_death = !threw && !timed_out && any_unfinished && any_deaths;
+  if (timed_out) {
+    out.health = SessionOutcome::Health::QuarantineStalls;
+  } else if (!threw && !any_deaths) {
+    out.health = SessionOutcome::Health::CreditClean;
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // JobHandle
 // ---------------------------------------------------------------------------
@@ -264,44 +277,10 @@ const JobStats& JobHandle::stats() const {
 
 BatchSolver::BatchSolver(ServeOptions opts)
     : opts_(std::move(opts)),
-      cache_(std::make_shared<PlanCache>(opts_.plan_cache_capacity())),
+      cache_(std::make_shared<PlanCache>()),
       solver_(opts_.qr(), cache_),
       sched_(opts_.age_promote_after()),
-      backoff_(opts_.retry_backoff_base(), opts_.retry_backoff_cap(),
-               opts_.retry_backoff_seed()),
-      rank_health_(opts_.quarantine_probation()) {
-  // Resolve every metric handle once: interning takes the registry mutex,
-  // after which the serving hot path mutates lock-free atomics (still under
-  // mu_ for cross-counter snapshot consistency — see the header).
-  m_.submitted = &registry_.counter("serve.jobs_submitted");
-  m_.completed = &registry_.counter("serve.jobs_completed");
-  m_.failed = &registry_.counter("serve.jobs_failed");
-  m_.rejected = &registry_.counter("serve.jobs_rejected");
-  m_.deadline_misses = &registry_.counter("serve.deadline_misses");
-  m_.flushes = &registry_.counter("serve.flushes");
-  m_.sessions = &registry_.counter("serve.sessions");
-  m_.reprofiles = &registry_.counter("serve.reprofiles");
-  m_.plan_hits = &registry_.counter("serve.plan_cache_hits");
-  m_.plan_misses = &registry_.counter("serve.plan_cache_misses");
-  m_.attempts = &registry_.counter("serve.attempts");
-  m_.recovered = &registry_.counter("serve.recovered");
-  m_.cholesky_jobs = &registry_.counter("serve.jobs_choleskyqr2");
-  m_.cholesky_fallbacks = &registry_.counter("serve.cholesky_fallbacks");
-  m_.timeouts = &registry_.counter("health.session_timeouts");
-  m_.requeues_timeout = &registry_.counter("health.requeues_timeout");
-  m_.requeues_rank_death = &registry_.counter("health.requeues_rank_death");
-  m_.quarantined = &registry_.counter("health.ranks_quarantined");
-  m_.reinstated = &registry_.counter("health.ranks_reinstated");
-  m_.quarantined_now = &registry_.gauge("health.quarantined_now");
-  m_.retry_after = &registry_.gauge("serve.retry_after_seconds");
-  m_.backoff_delay = &registry_.histogram("health.backoff_seconds");
-  m_.serve_seconds = &registry_.gauge("serve.serve_seconds");
-  m_.latency = &registry_.histogram("serve.latency_seconds");
-  m_.queue_wait = &registry_.histogram("serve.queue_seconds");
-  m_.exec = &registry_.histogram("serve.exec_seconds");
-  m_.drift = &registry_.histogram("serve.drift_ratio");
-  m_.drift_since_profile = &registry_.histogram("serve.drift_ratio_since_profile");
-
+      rank_health_(kQuarantineProbation) {
   // Construct, optionally profile, and (re)construct: tuning consults the
   // machine's params(), so the fitted profile must be baked into the machine
   // the jobs run on — that is the profile -> tune -> serve loop.
@@ -365,8 +344,9 @@ JobHandle BatchSolver::submit(la::Matrix A, la::Matrix b, const SubmitOptions& s
     }
   }
   if (const auto& tr = opts_.trace()) {
-    trace_instant(tr, rejected ? "admission_reject" : "submit", job->seq,
-                  obs::trace_seconds(job->submitted_at));
+    const double t = obs::trace_seconds(job->submitted_at);
+    trace_serving(*tr, kInstant, rejected ? "admission_reject" : "submit",
+                  static_cast<int>(job->seq), job->seq, t, t);
   }
   if (rejected) {
     resolve_job(job, std::make_exception_ptr(
@@ -421,20 +401,10 @@ void BatchSolver::resolve_job(const std::shared_ptr<detail::Job>& job, std::exce
   if (const auto& tr = opts_.trace()) {
     // The job's terminal span: exec (dispatch -> resolution) once it entered
     // the machine, queued (submit -> resolution) when it never did.
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEvent::Kind::Span;
-    ev.track = 1;
-    ev.rank = static_cast<int>(job->seq);
-    ev.id = job->seq;
-    if (job->dispatched) {
-      ev.name = job->error ? "exec (failed)" : "exec";
-      ev.t0 = obs::trace_seconds(job->dispatched_at);
-    } else {
-      ev.name = job->error ? "queued (failed)" : "queued";
-      ev.t0 = obs::trace_seconds(job->submitted_at);
-    }
-    ev.t1 = obs::trace_now();
-    tr->record(std::move(ev));
+    const char* name = job->dispatched ? (job->error ? "exec (failed)" : "exec")
+                                       : (job->error ? "queued (failed)" : "queued");
+    const double t0 = obs::trace_seconds(job->dispatched ? job->dispatched_at : job->submitted_at);
+    trace_serving(*tr, kSpan, name, static_cast<int>(job->seq), job->seq, t0, obs::trace_now());
   }
 }
 
@@ -454,22 +424,17 @@ bool BatchSolver::validate_job(const std::shared_ptr<detail::Job>& job) {
 }
 
 void BatchSolver::maybe_reprofile() {
-  const bool periodic = opts_.reprofile_every() > 0;
-  const bool on_drift = opts_.reprofile_on_drift() > 0.0;
-  if (!periodic && !on_drift) return;
+  const double f = opts_.reprofile_on_drift();
+  if (f <= 0.0) return;
   {
+    // The drift *signal*: the median measured/predicted ratio of jobs
+    // completed since the last profile.  Only a sustained departure from
+    // [1/factor, factor] re-fits — p50, not max, so one noisy job cannot
+    // thrash the profiler.
     std::lock_guard<std::mutex> lock(mu_);
-    bool due = periodic && dispatches_since_profile_ >= opts_.reprofile_every();
-    if (!due && on_drift && m_.drift_since_profile->count() >= kDriftMinSamples) {
-      // The drift *signal*: the median measured/predicted ratio of jobs
-      // completed since the last profile.  Only a sustained departure from
-      // [1/factor, factor] re-fits — p50, not max, so one noisy job cannot
-      // thrash the profiler.
-      const double med = m_.drift_since_profile->quantile(0.5);
-      const double f = opts_.reprofile_on_drift();
-      due = med > f || med < 1.0 / f;
-    }
-    if (!due) return;
+    if (m_.drift_since_profile->count() < kDriftMinSamples) return;
+    const double med = m_.drift_since_profile->quantile(0.5);
+    if (!(med > f || med < 1.0 / f)) return;
   }
   try {
     MachineProfile fresh = profile_machine(*machine_, opts_.profile_options());
@@ -481,7 +446,6 @@ void BatchSolver::maybe_reprofile() {
     // New parameters mean new plan keys: clear the sized-shape set so every
     // shape re-sizes and re-tunes against the fresh fit (counted as misses).
     sized_shapes_.clear();
-    dispatches_since_profile_ = 0;
     // The drift trigger compares against the *new* fit from here on.
     m_.drift_since_profile->reset();
     m_.reprofiles->inc();
@@ -491,13 +455,8 @@ void BatchSolver::maybe_reprofile() {
     return;
   }
   if (const auto& tr = opts_.trace()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEvent::Kind::Instant;
-    ev.track = 1;
-    ev.rank = -1;  // the dispatcher lane, same as session spans
-    ev.name = "reprofile";
-    ev.t0 = ev.t1 = obs::trace_now();
-    tr->record(std::move(ev));
+    const double now = obs::trace_now();
+    trace_serving(*tr, kInstant, "reprofile", -1, 0, now, now);
   }
 }
 
@@ -517,18 +476,14 @@ std::vector<int> BatchSolver::usable_ranks_locked() const {
   return usable.empty() ? alive : usable;
 }
 
-void BatchSolver::run_session(int g, const std::vector<std::shared_ptr<detail::Job>>& jobs) {
+void BatchSolver::run_session(const Round& round) {
   // The machine view shrinks as ranks die or get quarantined: sessions group
   // only usable ranks (the rest split out with color -1 and idle), and the
-  // group size clamps to what is left.
-  std::vector<int> alive;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    alive = usable_ranks_locked();
-  }
+  // group size is already clamped to what is left.
+  const std::vector<int>& alive = round.ranks;
   QR3D_ASSERT(!alive.empty(), "BatchSolver: no surviving ranks to run a session on");
-  const int ga = std::min(g, static_cast<int>(alive.size()));
-  const int groups = static_cast<int>(alive.size()) / ga;
+  const int ga = round.group_ranks, groups = round.groups;
+  const JobList& jobs = round.jobs;
   // Every surviving rank joins its group's sub-communicator (ranks beyond
   // groups*ga idle out) and the groups round-robin the job list.  The
   // group's rank 0 stamps per-job wall times, writes the results, and
@@ -589,151 +544,171 @@ void BatchSolver::run_session(int g, const std::vector<std::shared_ptr<detail::J
   });
 }
 
-bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool include_delayed) {
+bool BatchSolver::dispatch_round(std::exception_ptr* session_error, bool include_delayed) {
+  std::optional<Round> round = plan_round(include_delayed);
+  if (!round) return false;
+  if (round->jobs.empty()) return true;  // every popped job resolved while planning
+  const SessionResult run = run_round(*round);
+
+  JobList unfinished;
+  for (auto& job : round->jobs) {
+    if (!job->done.load(std::memory_order_acquire)) unfinished.push_back(job);
+  }
+  bool threw_rank_death = false;
+  if (run.error) {
+    try {
+      std::rethrow_exception(run.error);
+    } catch (const fault::RankDeath&) {
+      threw_rank_death = true;
+    } catch (...) {
+    }
+  }
+  QR3D_ASSERT(run.error || run.timed_out || unfinished.empty() || !run.deaths.empty(),
+              "BatchSolver: machine session ended cleanly with an unfinished job");
+  const SessionOutcome outcome = classify_session(
+      run.error != nullptr, threw_rank_death, !run.deaths.empty(), run.timed_out,
+      !unfinished.empty());
+  apply_outcome(*round, run, outcome, unfinished, session_error);
+  return true;
+}
+
+std::optional<BatchSolver::Round> BatchSolver::plan_round(bool include_delayed) {
   // --- Pop the best-ranked READY job (the scheduling decision) -------------
   std::shared_ptr<detail::Job> top;
   std::size_t shape_hint = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (aborting_) return false;  // abort() drains and resolves the queue
-    top = sched_.pop(Clock::now(), include_delayed);
-    if (!top) return false;
-    // Popped jobs move to in_flight_ under the SAME lock: a flush barrier
-    // snapshot (queue + in_flight_) must never catch a job in neither.
-    in_flight_.push_back(top);
-    // Sizing hint: how many same-shape jobs the batch could pipeline.
-    shape_hint = sched_.count_shape(top->A.rows(), top->A.cols()) + 1;
-  }
-  if (!validate_job(top)) return true;  // resolved (and retired) the round
-
-  const la::index_t m = top->A.rows(), n = top->A.cols();
-  const sim::CostParams mp = machine_->params();
-  const backend::Kind kind = machine_->kind();
-  const int P = opts_.ranks();
-  const core::Accuracy acc = top->accuracy;
   // Mixed-precision discount for fast-contract plans: how much cheaper a
   // float flop is than a double one on THIS machine (measured gamma_float /
   // gamma; 1 when unprofiled or float is no faster).
   double float_scale = 1.0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (aborting_) return std::nullopt;  // abort() drains and resolves the queue
+    top = sched_.pop(Clock::now(), include_delayed);
+    if (!top) return std::nullopt;
+    // Popped jobs move to in_flight_ under the SAME lock: a flush barrier
+    // snapshot (queue + in_flight_) must never catch a job in neither.
+    in_flight_.push_back(top);
+    // Sizing hint: how many same-shape jobs the batch could pipeline.
+    shape_hint = sched_.count_shape(top->A.rows(), top->A.cols()) + 1;
     if (profile_ && profile_->gamma_float > 0.0 && profile_->fitted.gamma > 0.0)
       float_scale = std::min(1.0, profile_->gamma_float / profile_->fitted.gamma);
   }
+  Round round;
+  if (!validate_job(top)) return round;  // resolved (and retired) the job
+
+  const la::index_t m = top->A.rows(), n = top->A.cols();
+  const sim::CostParams mp = machine_->params();
+  const backend::Kind kind = machine_->kind();
+  const int P = opts_.ranks();
+  const auto resolve = [&](int g, core::Accuracy acc) {
+    return resolve_shape_plan(m, n, g, opts_.qr(), *cache_, kind, mp, acc, float_scale);
+  };
 
   // --- Size the group and resolve the plan for the popped job's shape -----
   int g = opts_.group_ranks();
-  Plan plan;
   try {
     if (g > 0) {
       g = std::min(g, P);
     } else {
       g = choose_group_ranks(m, n, static_cast<int>(shape_hint), P, opts_.qr(), *cache_, kind, mp,
-                             acc, float_scale)
+                             top->accuracy, float_scale)
               .group_ranks;
     }
-    plan = resolve_shape_plan(m, n, g, opts_.qr(), *cache_, kind, mp, acc, float_scale);
+    top->plan = resolve(g, top->accuracy);
   } catch (...) {
     // Sizing/tuning failed for this shape (a degenerate fitted profile,
     // say): isolate the failure to this job, keep serving the queue.
     resolve_job(top, std::current_exception());
-    return true;
+    return round;
   }
 
   // --- Fill the idle groups with same-shape riders -------------------------
   // The machine view shrinks as ranks die; the group size clamps to the
-  // survivors and the round carries one job per group.  Riders share the
-  // popped job's plan, so they pipeline for free whatever their class —
-  // preemption granularity stays one round either way.
-  int ga = 1;
-  int groups = 1;
-  std::vector<std::shared_ptr<detail::Job>> riders;
+  // usable ranks (computed once here and handed to the session) and the
+  // round carries one job per group.  Riders pipeline for free whatever
+  // their class — preemption granularity stays one round either way.
+  JobList riders;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const int alive = std::max(1, static_cast<int>(usable_ranks_locked().size()));
-    ga = std::min(g, alive);
-    groups = std::max(1, alive / ga);
-    riders = sched_.pop_same_shape(m, n, static_cast<std::size_t>(groups - 1), Clock::now(),
-                                   include_delayed);
+    round.ranks = usable_ranks_locked();
+    const int alive = std::max(1, static_cast<int>(round.ranks.size()));
+    round.group_ranks = std::min(g, alive);
+    round.groups = std::max(1, alive / round.group_ranks);
+    riders = sched_.pop_same_shape(m, n, static_cast<std::size_t>(round.groups - 1),
+                                   Clock::now(), include_delayed);
     for (auto& r : riders) in_flight_.push_back(r);
   }
-  std::vector<std::shared_ptr<detail::Job>> round;
-  round.push_back(top);
+  round.jobs.push_back(top);
   for (auto& r : riders) {
-    if (validate_job(r)) round.push_back(r);  // invalid riders resolve here
-  }
-
-  // Riders keep their own accuracy contract: one whose contract differs
-  // from the popped job's resolves its own plan (cached — same shape and
-  // group size, a different accuracy key).  A resolution failure downgrades
-  // the rider to the popped job's Householder fields instead of failing it.
-  std::vector<Plan> round_plans(round.size(), plan);
-  for (std::size_t j = 1; j < round.size(); ++j) {
-    if (round[j]->accuracy == acc) continue;
-    try {
-      round_plans[j] = resolve_shape_plan(m, n, g, opts_.qr(), *cache_, kind, mp,
-                                          round[j]->accuracy, float_scale);
-    } catch (...) {
-      round_plans[j].algorithm = PlanAlgorithm::Householder;
-      round_plans[j].use_float = false;
-      round_plans[j].max_condition = 0.0;
+    if (!validate_job(r)) continue;  // invalid riders resolve here
+    // Riders keep their own accuracy contract: one whose contract differs
+    // from the popped job's resolves its own plan (cached — same shape and
+    // group size, a different accuracy key).  A resolution failure
+    // downgrades the rider to the popped job's Householder fields instead
+    // of failing it.
+    r->plan = top->plan;
+    if (r->accuracy != top->accuracy) {
+      try {
+        r->plan = resolve(g, r->accuracy);
+      } catch (...) {
+        r->plan.algorithm = PlanAlgorithm::Householder;
+        r->plan.use_float = false;
+        r->plan.max_condition = 0.0;
+      }
     }
+    round.jobs.push_back(r);
   }
+  if (!account_round(round, mp)) {
+    resolve_unfinished(round.jobs, abort_error());
+    round.jobs.clear();
+  }
+  return round;
+}
 
-  // --- Accounting (before the run: resolution implies visibility) ---------
-  const double predicted_seconds = plan.predicted.time(mp);
-  bool abort_now = false;
+bool BatchSolver::account_round(Round& round, const sim::CostParams& mp) {
+  // The admission retry-after hint and the session deadline both lean on
+  // the model, through the slowest plan the round runs.
+  double predicted_seconds = 0.0;
+  for (const auto& job : round.jobs)
+    predicted_seconds = std::max(predicted_seconds, job->plan.predicted.time(mp));
+  const auto shape = std::make_pair(round.jobs.front()->A.rows(), round.jobs.front()->A.cols());
   bool first_sizing = false;
-  std::uint64_t round_no = 0;
   double drift_scale = 1.0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (aborting_) {
-      abort_now = true;
-    } else {
-      // The admission retry-after hint and the session deadline both lean on
-      // the model: remember this round's per-job prediction, and read the
-      // observed drift p95 (how much slower than predicted real jobs run, at
-      // the tail) so the deadline scales with the model's demonstrated error
-      // bars instead of trusting the raw prediction.
-      last_predicted_job_seconds_ = predicted_seconds;
-      if (m_.drift->count() >= kDriftMinSamples)
-        drift_scale = std::max(1.0, m_.drift->quantile(0.95));
-      const auto shape = std::make_pair(m, n);
-      if (std::find(sized_shapes_.begin(), sized_shapes_.end(), shape) == sized_shapes_.end()) {
-        sized_shapes_.push_back(shape);
-        first_sizing = true;
-      }
-      // Hit/miss counters are per job on its FIRST dispatch only — a
-      // fault-recovery requeue re-enters the round but not the counters.
-      std::uint64_t fresh = 0;
-      for (const auto& job : round)
-        if (!job->dispatched) ++fresh;
-      const std::uint64_t miss = first_sizing ? 1 : 0;
-      m_.plan_misses->inc(miss);
-      m_.plan_hits->inc(fresh >= miss ? fresh - miss : 0);
-      m_.sessions->inc();
-      m_.attempts->inc(round.size());
-      std::uint64_t cq_jobs = 0;
-      for (const auto& jp : round_plans)
-        if (jp.algorithm == PlanAlgorithm::CholeskyQr2) ++cq_jobs;
-      m_.cholesky_jobs->inc(cq_jobs);
-      round_no = m_.sessions->value();
+    if (aborting_) return false;
+    // Remember this round's per-job prediction, and read the observed drift
+    // p95 (how much slower than predicted real jobs run, at the tail) so the
+    // deadline scales with the model's demonstrated error bars instead of
+    // trusting the raw prediction.
+    last_predicted_job_seconds_ = predicted_seconds;
+    if (m_.drift->count() >= kDriftMinSamples)
+      drift_scale = std::max(1.0, m_.drift->quantile(0.95));
+    if (std::find(sized_shapes_.begin(), sized_shapes_.end(), shape) == sized_shapes_.end()) {
+      sized_shapes_.push_back(shape);
+      first_sizing = true;
     }
+    // Hit/miss counters are per job on its FIRST dispatch only — a
+    // fault-recovery requeue re-enters the round but not the counters.
+    std::uint64_t fresh = 0, cq_jobs = 0;
+    for (const auto& job : round.jobs) {
+      if (!job->dispatched) ++fresh;
+      if (job->plan.algorithm == PlanAlgorithm::CholeskyQr2) ++cq_jobs;
+    }
+    const std::uint64_t miss = first_sizing ? 1 : 0;
+    m_.plan_misses->inc(miss);
+    m_.plan_hits->inc(fresh >= miss ? fresh - miss : 0);
+    m_.sessions->inc();
+    m_.attempts->inc(round.jobs.size());
+    m_.cholesky_jobs->inc(cq_jobs);
+    round.number = m_.sessions->value();
   }
-  if (abort_now) {
-    resolve_unfinished(round, abort_error());
-    return true;
-  }
-  for (std::size_t j = 0; j < round.size(); ++j) {
-    auto& job = round[j];
-    job->plan = round_plans[j];
-    job->group_ranks = g;
-    job->stats.group_ranks = g;
+  for (std::size_t j = 0; j < round.jobs.size(); ++j) {
+    auto& job = round.jobs[j];
     // Stamped every dispatch (the clamped group or a fresh profile can
     // change the prediction between attempts): what the cost model expects
     // this job to take, the denominator of its drift ratio.
-    job->stats.predicted_seconds = round_plans[j].predicted.time(mp);
+    job->stats.predicted_seconds = job->plan.predicted.time(mp);
     if (!job->dispatched) {
       job->dispatched = true;
       job->dispatched_at = Clock::now();
@@ -741,47 +716,48 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
       job->stats.plan_cache_hit = !(first_sizing && j == 0);
       if (const auto& tr = opts_.trace()) {
         // Close the job's queued span: submit -> first machine dispatch.
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEvent::Kind::Span;
-        ev.track = 1;
-        ev.rank = static_cast<int>(job->seq);
-        ev.id = job->seq;
-        ev.name = "queued";
-        ev.t0 = obs::trace_seconds(job->submitted_at);
-        ev.t1 = obs::trace_seconds(job->dispatched_at);
-        tr->record(std::move(ev));
+        trace_serving(*tr, kSpan, "queued", static_cast<int>(job->seq), job->seq,
+                      obs::trace_seconds(job->submitted_at),
+                      obs::trace_seconds(job->dispatched_at));
       }
     }
-    ++job->attempts;
-    job->stats.attempts = job->attempts;
-    job->stats.recovered = job->attempts > 1;
-    job->stats.priority = job->priority;
-    job->stats.round = round_no;
+    ++job->stats.attempts;
+    job->stats.recovered = job->stats.attempts > 1;
+    job->stats.round = round.number;
   }
 
-  // --- Arm the session deadline (fail-slow watchdog) -----------------------
-  // The deadline is what the cost model says this session should take —
-  // predicted per-job seconds times the jobs each group runs in series —
-  // scaled by the observed drift p95 (the model's own demonstrated error
-  // bars) and the user's factor, floored absolutely.  A backend that
-  // enforces deadlines itself (the simulator, on its virtual clock) just
-  // takes the number; otherwise a watchdog thread fires request_abort() at
-  // the wall deadline.  The callback returns whether a live run took the
-  // abort: the executor commits to a session slightly before run() begins,
-  // and request_abort() while idle is deliberately dropped — so the
-  // watchdog retries until the abort lands or disarm().
-  double deadline_seconds = 0.0;
+  // --- Size the session deadline (fail-slow watchdog) ----------------------
+  // What the cost model says this session should take — the slowest plan's
+  // per-job seconds times the jobs each group runs in series — scaled by
+  // the observed drift p95 (the model's own demonstrated error bars) and
+  // the user's factor, floored absolutely: a microsecond-scale prediction
+  // must not arm a watchdog that scheduling noise trips.  Wall time on
+  // threads leaves headroom for a loaded host; the simulator's virtual
+  // clock has no noise to absorb.
+  if (opts_.session_timeout_factor() > 0.0) {
+    const double floor_seconds = machine_->kind() == backend::Kind::Thread ? 0.2 : 0.05;
+    const double jobs_per_group =
+        std::ceil(static_cast<double>(round.jobs.size()) / static_cast<double>(round.groups));
+    round.deadline_seconds = std::max(floor_seconds, predicted_seconds * jobs_per_group *
+                                                         drift_scale * opts_.session_timeout_factor());
+  }
+  return true;
+}
+
+BatchSolver::SessionResult BatchSolver::run_round(const Round& round) {
+  // --- Arm the session deadline --------------------------------------------
+  // A backend that enforces deadlines itself (the simulator, on its virtual
+  // clock) just takes the number; otherwise a watchdog thread fires
+  // request_abort() at the wall deadline.  The callback returns whether a
+  // live run took the abort: the executor commits to a session slightly
+  // before run() begins, and request_abort() while idle is deliberately
+  // dropped — so the watchdog retries until the abort lands or disarm().
   bool machine_enforces = false;
   bool watchdog_armed = false;
-  if (opts_.session_timeout_factor() > 0.0) {
-    const double jobs_per_group =
-        std::ceil(static_cast<double>(round.size()) / static_cast<double>(groups));
-    deadline_seconds = std::max(opts_.session_timeout_floor(),
-                                predicted_seconds * jobs_per_group * drift_scale *
-                                    opts_.session_timeout_factor());
-    machine_enforces = machine_->set_session_deadline(deadline_seconds);
+  if (round.deadline_seconds > 0.0) {
+    machine_enforces = machine_->set_session_deadline(round.deadline_seconds);
     if (!machine_enforces) {
-      watchdog_.arm(deadline_seconds, [this]() { return machine_->request_abort(); });
+      watchdog_.arm(round.deadline_seconds, [this]() { return machine_->request_abort(); });
       watchdog_armed = true;
     }
   }
@@ -792,12 +768,12 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
   // completed before the abort keep their solutions — and the machine resets
   // cleanly for the next round (see ThreadMachine), so the queue keeps
   // serving.
-  std::exception_ptr session_error;
+  SessionResult result;
   const double session_t0 = opts_.trace() ? obs::trace_now() : 0.0;
   try {
-    run_session(ga, round);
+    run_session(round);
   } catch (...) {
-    session_error = std::current_exception();
+    result.error = std::current_exception();
   }
   // Did the deadline fire?  The watchdog knows whether its abort landed
   // (disarm waits out an in-flight callback, so this cannot race the next
@@ -805,92 +781,56 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
   // keys on THIS, never on the exception type — the lowest-ranked rethrow
   // can surface a generic abort error even when the root cause was the
   // deadline.
-  bool timed_out = false;
-  if (watchdog_armed) timed_out = watchdog_.disarm();
-  if (machine_enforces) timed_out = machine_->last_run_timed_out();
+  if (watchdog_armed) result.timed_out = watchdog_.disarm();
+  if (machine_enforces) result.timed_out = machine_->last_run_timed_out();
   if (const auto& tr = opts_.trace()) {
     // The machine-session span on the dispatcher lane: job exec spans and
     // the machine's own per-rank op events nest under it in wall time.
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEvent::Kind::Span;
-    ev.track = 1;
-    ev.rank = -1;  // dispatcher lane
-    ev.id = round_no;
-    ev.peer = ga;
-    ev.words = static_cast<double>(round.size());
-    ev.name = "session";
-    ev.t0 = session_t0;
-    ev.t1 = obs::trace_now();
-    tr->record(std::move(ev));
-    if (timed_out) {
-      obs::TraceEvent ti;
-      ti.kind = obs::TraceEvent::Kind::Instant;
-      ti.track = 1;
-      ti.rank = -1;  // dispatcher lane, next to the session span
-      ti.id = round_no;
-      ti.name = "session_timeout";
-      ti.t0 = ti.t1 = obs::trace_now();
-      tr->record(std::move(ti));
+    trace_serving(*tr, kSpan, "session", -1, round.number, session_t0, obs::trace_now(),
+                  round.group_ranks, static_cast<double>(round.jobs.size()));
+    if (result.timed_out) {
+      const double now = obs::trace_now();
+      trace_serving(*tr, kInstant, "session_timeout", -1, round.number, now, now);
     }
   }
-  const std::vector<int> session_deaths = machine_->last_run_deaths();
-  const std::vector<int> session_stalls = machine_->last_run_stalls();
+  result.deaths = machine_->last_run_deaths();
+  result.stalls = machine_->last_run_stalls();
+  return result;
+}
 
-  std::vector<std::shared_ptr<detail::Job>> unfinished;
-  for (auto& job : round) {
-    if (!job->done.load(std::memory_order_acquire)) unfinished.push_back(job);
-  }
-
-  // Self-healing classification: a rank death (fault::RankDeath, or the
-  // machine reporting deaths after a run that otherwise ended cleanly) and a
-  // session timeout (fail-slow, converted to fail-stop above) are both
-  // recoverable by requeueing; anything else is final.
-  bool is_rank_death = !session_deaths.empty();
-  if (session_error) {
-    try {
-      std::rethrow_exception(session_error);
-    } catch (const fault::RankDeath&) {
-      is_rank_death = true;
-    } catch (...) {
-    }
-  } else if (!unfinished.empty() && !timed_out) {
-    QR3D_ASSERT(is_rank_death,
-                "BatchSolver: machine session ended cleanly with an unfinished job");
+void BatchSolver::apply_outcome(const Round& round, const SessionResult& run,
+                                const SessionOutcome& outcome, const JobList& unfinished,
+                                std::exception_ptr* session_error_out) {
+  std::exception_ptr session_error = run.error;
+  if (outcome.synthesize_death) {
     // Ranks died but no survivor tripped over them (they held no job the
     // survivors needed): the unfinished jobs were simply lost with their
     // group — synthesize the death error the survivors never saw.
     session_error = std::make_exception_ptr(fault::RankDeath(
-        session_deaths.front(), "qr3d::serve: rank " + std::to_string(session_deaths.front()) +
-                                    " died; its group's jobs did not finish"));
+        run.deaths.front(), "qr3d::serve: rank " + std::to_string(run.deaths.front()) +
+                                " died; its group's jobs did not finish"));
   }
-  const bool recoverable = is_rank_death || timed_out;
   // The error a job of this session keeps as its first-failure cause (and
   // resolves with when attempts run out).  On a timeout this is normalized
   // to the typed health::SessionTimeout — the raw session error is whichever
   // rank's exception won the lowest-rank rethrow (often the generic abort),
   // useless to a caller deciding whether to resubmit.
   std::exception_ptr cause_error = session_error;
-  const RetryCause cause = timed_out ? RetryCause::Timeout : RetryCause::RankDeath;
-  if (timed_out) {
-    const int suspect = session_stalls.empty() ? -1 : session_stalls.front();
+  if (run.timed_out) {
+    const int suspect = run.stalls.empty() ? -1 : run.stalls.front();
     cause_error = std::make_exception_ptr(health::SessionTimeout(
-        deadline_seconds, suspect,
-        "qr3d::serve: session " + std::to_string(round_no) +
-            " exceeded its deadline of " + std::to_string(deadline_seconds) +
+        round.deadline_seconds, suspect,
+        "qr3d::serve: session " + std::to_string(round.number) +
+            " exceeded its deadline of " + std::to_string(round.deadline_seconds) +
             " s (fail-slow watchdog; see ServeOptions::with_session_timeout_factor)"));
   }
 
-  std::vector<std::shared_ptr<detail::Job>> exhausted;
-  std::vector<std::shared_ptr<detail::Job>> aborted_jobs;
-  struct Requeued {
-    std::uint64_t seq;
-    double delay;
-  };
-  std::vector<Requeued> requeued;
+  JobList exhausted, aborted_jobs;
+  std::vector<std::uint64_t> requeued;  // sequence numbers, for the trace
   {
     std::lock_guard<std::mutex> lock(mu_);
     m_.serve_seconds->add(machine_->last_wall_seconds());
-    for (int r : session_deaths) {
+    for (int r : run.deaths) {
       if (std::find(dead_ranks_.begin(), dead_ranks_.end(), r) == dead_ranks_.end())
         dead_ranks_.push_back(r);
     }
@@ -898,17 +838,16 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
     // stall implicates them (probation starts, or restarts for a repeat
     // offender); a clean session credits every quarantined rank one step and
     // reinstates those that served their probation.
-    if (timed_out) {
+    if (outcome.health == SessionOutcome::Health::QuarantineStalls) {
       m_.timeouts->inc();
-      for (int r : session_stalls) {
+      for (int r : run.stalls) {
         if (rank_health_.quarantine(r)) m_.quarantined->inc();
       }
-    } else if (!session_error && session_deaths.empty()) {
-      const std::vector<int> back = rank_health_.record_clean_session();
-      m_.reinstated->inc(back.size());
+    } else if (outcome.health == SessionOutcome::Health::CreditClean) {
+      m_.reinstated->inc(rank_health_.record_clean_session().size());
     }
     m_.quarantined_now->set(static_cast<double>(rank_health_.quarantined_count()));
-    if (!unfinished.empty() && recoverable) {
+    if (outcome.recoverable) {
       for (auto& job : unfinished) {
         if (!job->original_error) job->original_error = cause_error;
         if (aborting_) {
@@ -916,7 +855,7 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
           // would strand the job forever (nothing dispatches after an
           // abort).  Hand it to the abort path instead.
           aborted_jobs.push_back(job);
-        } else if (job->attempts >= opts_.max_attempts()) {
+        } else if (job->stats.attempts >= opts_.max_attempts()) {
           exhausted.push_back(job);  // resolved below, outside the lock
         } else {
           // Requeue on the survivors with the job's original seq, priority
@@ -927,18 +866,19 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
           // deterministic backoff delays the next attempt: attempt k waits
           // jittered min(cap, base * 2^(k-1)) seconds keyed on (seed, seq,
           // attempt), so a fixed seed reproduces the schedule exactly.
-          const double delay = backoff_.delay(job->attempts, job->seq);
+          const double delay = opts_.retry_backoff().delay(job->stats.attempts, job->seq);
           job->ready_at = delay > 0.0
                               ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                                    std::chrono::duration<double>(delay))
                               : Clock::time_point{};
-          job->stats.retries.push_back(RetryRecord{cause, delay});
+          job->stats.retries.push_back(RetryRecord{outcome.cause, delay});
           if (delay > 0.0) m_.backoff_delay->record(delay);
-          (cause == RetryCause::Timeout ? m_.requeues_timeout : m_.requeues_rank_death)->inc();
+          (outcome.cause == RetryCause::Timeout ? m_.requeues_timeout : m_.requeues_rank_death)
+              ->inc();
           in_flight_.erase(std::remove(in_flight_.begin(), in_flight_.end(), job),
                            in_flight_.end());
           sched_.push(job);
-          requeued.push_back(Requeued{job->seq, delay});
+          requeued.push_back(job->seq);
         }
       }
     }
@@ -947,33 +887,50 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
     // Fault-recovery edges: one cause-tagged instant per job sent back.
     const double now = obs::trace_now();
     const char* name =
-        cause == RetryCause::Timeout ? "requeue (timeout)" : "requeue (rank_death)";
-    for (const auto& rq : requeued) trace_instant(tr, name, rq.seq, now);
+        outcome.cause == RetryCause::Timeout ? "requeue (timeout)" : "requeue (rank_death)";
+    for (std::uint64_t seq : requeued)
+      trace_serving(*tr, kInstant, name, static_cast<int>(seq), seq, now, now);
   }
   resolve_unfinished(aborted_jobs, abort_error());
-  if (!unfinished.empty()) {
-    if (!recoverable) {
-      // Not recoverable by requeueing (an abort, a numerical failure):
-      // store the session error in the handles.
-      resolve_unfinished(unfinished, session_error);
-      if (session_error_out && !*session_error_out) *session_error_out = session_error;
-    } else {
-      // Out of attempts: the ORIGINAL cause (fault::RankDeath or
-      // health::SessionTimeout — not a wrapper, not the latest one) lands in
-      // the handles, and blocking flush() rethrows it.
-      for (auto& job : exhausted) resolve_job(job, job->original_error);
-      if (!exhausted.empty() && session_error_out && !*session_error_out)
-        *session_error_out = exhausted.front()->original_error;
-    }
+  if (unfinished.empty()) return;
+  if (!outcome.recoverable) {
+    // Not recoverable by requeueing (an abort, a numerical failure): store
+    // the session error in the handles.
+    resolve_unfinished(unfinished, session_error);
+    if (session_error_out && !*session_error_out) *session_error_out = session_error;
+  } else {
+    // Out of attempts: the ORIGINAL cause (fault::RankDeath or
+    // health::SessionTimeout — not a wrapper, not the latest one) lands in
+    // the handles, and blocking flush() rethrows it.
+    for (auto& job : exhausted) resolve_job(job, job->original_error);
+    if (!exhausted.empty() && session_error_out && !*session_error_out)
+      *session_error_out = exhausted.front()->original_error;
   }
-  return true;
 }
 
-void BatchSolver::resolve_unfinished(const std::vector<std::shared_ptr<detail::Job>>& jobs,
-                                     std::exception_ptr error) {
+void BatchSolver::resolve_unfinished(const JobList& jobs, std::exception_ptr error) {
   for (auto& job : jobs) {
     if (!job->done.load(std::memory_order_acquire)) resolve_job(job, error);
   }
+}
+
+void BatchSolver::resolve_stranded(std::exception_ptr error, bool drain_queue) {
+  JobList stranded;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (drain_queue) stranded = sched_.drain();
+    stranded.insert(stranded.end(), in_flight_.begin(), in_flight_.end());
+  }
+  resolve_unfinished(stranded, error);
+}
+
+void BatchSolver::begin_drain_cycle() {
+  maybe_reprofile();
+  // One drain cycle (idle -> busy transition) counts as one flush, counted
+  // before any job of the cycle can resolve so a reader that observed a
+  // resolved handle also observes its dispatch.
+  std::lock_guard<std::mutex> lock(mu_);
+  m_.flushes->inc();
 }
 
 void BatchSolver::executor_loop() {
@@ -998,15 +955,7 @@ void BatchSolver::executor_loop() {
     }
     const bool include_delayed = stop_;
     lock.unlock();
-    maybe_reprofile();
-    {
-      // One drain cycle (idle -> busy transition) counts as one flush,
-      // counted before any job of the cycle can resolve so a reader that
-      // observed a resolved handle also observes its dispatch.
-      std::lock_guard<std::mutex> count_lock(mu_);
-      m_.flushes->inc();
-      ++dispatches_since_profile_;
-    }
+    begin_drain_cycle();
     // Round at a time until the queue drains: every iteration re-pops, so a
     // high-priority submission landing mid-cycle runs next round — that is
     // the preemption granularity.  Errors are resolved into the affected
@@ -1018,12 +967,7 @@ void BatchSolver::executor_loop() {
       while (dispatch_round(nullptr, include_delayed)) {
       }
     } catch (...) {
-      std::vector<std::shared_ptr<detail::Job>> stranded;
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        stranded = in_flight_;
-      }
-      resolve_unfinished(stranded, std::current_exception());
+      resolve_stranded(std::current_exception(), /*drain_queue=*/false);
     }
     lock.lock();
   }
@@ -1056,12 +1000,7 @@ bool BatchSolver::flush_blocking(std::optional<Clock::time_point> deadline,
     std::lock_guard<std::mutex> lock(mu_);
     if (sched_.empty()) return true;  // nothing pending: not a dispatch
   }
-  maybe_reprofile();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    m_.flushes->inc();
-    ++dispatches_since_profile_;
-  }
+  begin_drain_cycle();
   // Round at a time until the queue drains, sleeping out retry-backoff
   // delays in between.  The deadline is only checked BETWEEN rounds: an
   // individual session is never cut short by the flush budget (session
@@ -1137,20 +1076,10 @@ void BatchSolver::shutdown() {
   // the affected handles, and shutdown (called from the destructor) must
   // never throw — if an *unexpected* throw cut the drain short, whatever it
   // stranded is resolved with that error so no handle is left pending.
-  std::exception_ptr err;
   try {
     flush_blocking(std::nullopt, true, nullptr);
   } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    std::vector<std::shared_ptr<detail::Job>> stranded;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stranded = sched_.drain();
-      stranded.insert(stranded.end(), in_flight_.begin(), in_flight_.end());
-    }
-    resolve_unfinished(stranded, err);
+    resolve_stranded(std::current_exception(), /*drain_queue=*/true);
   }
 }
 
@@ -1165,7 +1094,7 @@ void BatchSolver::abort() {
     machine_->request_abort();
   }
   queue_cv_.notify_all();
-  std::vector<std::shared_ptr<detail::Job>> queued;
+  JobList queued;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queued = sched_.drain();

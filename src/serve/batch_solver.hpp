@@ -31,8 +31,9 @@
 //   5. measured profile — with_profile() runs serve::profile_machine first
 //      and feeds the fitted (alpha, beta, gamma) to machine construction, so
 //      the tuner optimizes for the machine it actually runs on instead of a
-//      declared profile; with_reprofile_every() repeats the measurement
-//      periodically so the fit tracks thermal/contention drift.
+//      declared profile; with_reprofile_on_drift() repeats the measurement
+//      when completed jobs' measured/predicted ratio drifts, so the fit
+//      tracks thermal/contention drift.
 //
 // Asynchrony: by default (blocking mode) nothing executes until flush() —
 // submission is cheap, execution is explicit, and every counter is exactly
@@ -88,9 +89,10 @@
 // Fail-slow tolerance (src/health/ has the machinery): a rank that is slow
 // instead of dead used to hold its session — and a blocking-mode solver —
 // forever.  with_session_timeout_factor(f) arms a deadline per session:
-// the cost model's predicted session makespan, scaled by the observed drift
-// p95 (the model's own error bars) and by f, floored at
-// with_session_timeout_floor.  A backend that enforces deadlines itself
+// the cost model's predicted session makespan (of the slowest plan the
+// round runs), scaled by the observed drift p95 (the model's own error
+// bars) and by f, floored per backend (0.2 wall seconds on threads, 0.05
+// virtual seconds on the simulator).  A backend that enforces deadlines itself
 // (the simulator, on its virtual cost clock — bit-reproducible firing) just
 // gets the number; otherwise a health::Watchdog thread fires
 // request_abort() at the wall-clock deadline, converting fail-slow into
@@ -98,8 +100,8 @@
 // self-healing path with deterministic exponential backoff + seeded jitter
 // (with_retry_backoff), and the ranks whose injected stall caused the
 // timeout are quarantined — excluded from later sessions' groups — until
-// with_quarantine_probation consecutive clean sessions reinstate them
-// (capacity wins: quarantine never empties the alive set).
+// two consecutive clean sessions reinstate them (capacity wins: quarantine
+// never empties the alive set).
 #pragma once
 
 #include <atomic>
@@ -153,7 +155,7 @@ class ServeOptions {
     profile_ = on;
     return *this;
   }
-  /// Micro-benchmark sizes for profiling (and periodic re-profiling).
+  /// Micro-benchmark sizes for profiling (and drift-triggered re-profiling).
   ServeOptions& with_profile_options(ProfileOptions po) {
     profile_options_ = po;
     return *this;
@@ -177,22 +179,13 @@ class ServeOptions {
     async_ = on;
     return *this;
   }
-  /// Re-profile the machine after every `dispatches` batch dispatches and
-  /// re-tune on the fresh fit, so the profile tracks thermal/contention
-  /// drift.  0 (default) never re-profiles.  A nonzero value implies
-  /// with_profile().
-  ServeOptions& with_reprofile_every(std::uint64_t dispatches) {
-    reprofile_every_ = dispatches;
-    return *this;
-  }
   /// Drift-triggered re-profiling: re-profile when the median measured/
   /// predicted time ratio of jobs completed since the last profile leaves
   /// [1/factor, factor] (with at least a handful of samples — the fixed
-  /// kDriftMinSamples floor on BatchSolver).  This gives with_reprofile_every
-  /// a *signal* instead of a fixed period: the machine re-fits when the cost
-  /// model demonstrably stopped matching reality, and not before.  Composes
-  /// with with_reprofile_every (either trigger fires); implies
-  /// with_profile().  Must be > 1; 0 (default) disables.
+  /// kDriftMinSamples floor on BatchSolver), then re-tune every shape on the
+  /// fresh fit.  The machine re-fits when the cost model demonstrably
+  /// stopped matching reality, and not before.  Implies with_profile().
+  /// Must be > 1; 0 (default) disables.
   ServeOptions& with_reprofile_on_drift(double factor);
   /// Observability: install `sink` (see obs/trace.hpp) on the owned machine
   /// and the serving layer.  The machine emits per-rank comm-op events
@@ -218,36 +211,22 @@ class ServeOptions {
     max_queue_depth_ = depth;
     return *this;
   }
-  /// LRU capacity of the owned PlanCache (0 = unbounded).  Long-running
-  /// services should keep this bounded: every distinct (shape, group size,
-  /// machine-profile) key is cached, and re-profiling mints new keys.
-  ServeOptions& with_plan_cache_capacity(std::size_t capacity) {
-    plan_cache_capacity_ = capacity;
-    return *this;
-  }
   /// Anti-starvation aging: a queued job's effective priority class
   /// improves one step per this much waiting, so sustained high-priority
   /// load cannot starve the low classes forever.  Zero disables aging
   /// (strict classes).  Must be >= 0.  Default: 1 second.
   ServeOptions& with_age_promote_after(std::chrono::steady_clock::duration d);
   /// Fail-slow watchdog: arm a deadline on every machine session of
-  /// predicted-makespan x observed-drift-p95 x `factor`, floored at
-  /// with_session_timeout_floor.  A session still running at the deadline
-  /// is aborted (fail-slow converted to fail-stop) and its unfinished jobs
-  /// requeue through the self-healing path.  Must be 0 (default, disabled)
+  /// predicted-makespan x observed-drift-p95 x `factor`, floored at 0.2 wall
+  /// seconds on the thread backend and 0.05 virtual seconds on the
+  /// simulator (a microsecond-scale prediction must not arm a watchdog that
+  /// scheduling noise trips).  A session still running at the deadline is
+  /// aborted (fail-slow converted to fail-stop), its unfinished jobs requeue
+  /// through the self-healing path, and the ranks whose stall caused it sit
+  /// out two clean sessions in quarantine.  Must be 0 (default, disabled)
   /// or >= 1 — a factor below 1 would time out sessions the model itself
   /// expects to run longer.
   ServeOptions& with_session_timeout_factor(double factor);
-  /// Absolute floor on the session deadline, in seconds (default 0.05).
-  /// Guards tiny problems: a microsecond-scale prediction must not arm a
-  /// microsecond watchdog that scheduling noise trips.  Must be >= 0.
-  ServeOptions& with_session_timeout_floor(double seconds);
-  /// Quarantine probation: ranks implicated in a session timeout are
-  /// excluded from later sessions' groups until this many consecutive
-  /// clean (no fault, no timeout) sessions pass, then reinstated.  0
-  /// disables quarantine.  Default: 2.  Only effective together with
-  /// with_session_timeout_factor.
-  ServeOptions& with_quarantine_probation(int sessions);
   /// Deterministic retry backoff for requeued jobs: attempt k waits
   /// min(cap, base * 2^(k-1)) seconds, equal-jittered into [raw/2, raw) by
   /// a seeded hash of (seed, job seq, attempt) — reproducible under a fixed
@@ -262,10 +241,8 @@ class ServeOptions {
   /// QR options applied to every job.
   const QrOptions& qr() const { return qr_; }
   /// Whether the machine is profiled at construction (explicitly requested,
-  /// or implied by a re-profile period or drift trigger).
-  bool profile() const {
-    return profile_ || reprofile_every_ > 0 || reprofile_on_drift_ > 0.0;
-  }
+  /// or implied by the drift trigger).
+  bool profile() const { return profile_ || reprofile_on_drift_ > 0.0; }
   /// Micro-benchmark sizes used when profiling.
   const ProfileOptions& profile_options() const { return profile_options_; }
   /// Declared machine parameters.
@@ -274,8 +251,6 @@ class ServeOptions {
   int group_ranks() const { return group_ranks_; }
   /// Whether the executor thread drains submissions asynchronously.
   bool async() const { return async_; }
-  /// Batch dispatches between re-profiles (0 = never).
-  std::uint64_t reprofile_every() const { return reprofile_every_; }
   /// Drift factor that triggers a re-profile (0 = disabled).
   double reprofile_on_drift() const { return reprofile_on_drift_; }
   /// The installed trace sink (null = tracing off).
@@ -284,22 +259,12 @@ class ServeOptions {
   int max_attempts() const { return max_attempts_; }
   /// Admission cap on the queue depth (0 = unbounded).
   std::size_t max_queue_depth() const { return max_queue_depth_; }
-  /// LRU capacity of the owned PlanCache (0 = unbounded).
-  std::size_t plan_cache_capacity() const { return plan_cache_capacity_; }
   /// Waiting time that improves a queued job's class by one step (0 = off).
   std::chrono::steady_clock::duration age_promote_after() const { return age_promote_after_; }
   /// Session-deadline factor over the drift-scaled prediction (0 = off).
   double session_timeout_factor() const { return session_timeout_factor_; }
-  /// Absolute floor on the session deadline, seconds.
-  double session_timeout_floor() const { return session_timeout_floor_; }
-  /// Clean sessions a quarantined rank waits before reinstatement (0 = off).
-  int quarantine_probation() const { return quarantine_probation_; }
-  /// Retry-backoff base delay, seconds (0 = immediate requeue).
-  double retry_backoff_base() const { return retry_backoff_base_; }
-  /// Retry-backoff delay cap, seconds.
-  double retry_backoff_cap() const { return retry_backoff_cap_; }
-  /// Seed of the deterministic backoff jitter.
-  std::uint64_t retry_backoff_seed() const { return retry_backoff_seed_; }
+  /// Deterministic retry-backoff schedule (base 0 = immediate requeue).
+  const health::Backoff& retry_backoff() const { return retry_backoff_; }
 
  private:
   int ranks_ = 4;
@@ -309,19 +274,13 @@ class ServeOptions {
   sim::CostParams params_;
   int group_ranks_ = 0;
   bool async_ = false;
-  std::uint64_t reprofile_every_ = 0;
   double reprofile_on_drift_ = 0.0;
   std::shared_ptr<obs::TraceSink> trace_;
   int max_attempts_ = 3;
   std::size_t max_queue_depth_ = 0;
-  std::size_t plan_cache_capacity_ = PlanCache::kDefaultCapacity;
   std::chrono::steady_clock::duration age_promote_after_ = std::chrono::seconds(1);
   double session_timeout_factor_ = 0.0;
-  double session_timeout_floor_ = 0.05;
-  int quarantine_probation_ = 2;
-  double retry_backoff_base_ = 0.0;
-  double retry_backoff_cap_ = 0.0;
-  std::uint64_t retry_backoff_seed_ = health::Backoff::kDefaultSeed;
+  health::Backoff retry_backoff_;
 };
 
 class BatchSolver;
@@ -345,15 +304,11 @@ class JobHandle {
   bool valid() const { return job_ != nullptr; }
   /// Non-blocking: has the job resolved (solution or error)?
   bool ready() const;
-  /// Legacy alias of ready().
-  bool done() const { return ready(); }
   /// Block until the job resolves.  Async mode: sleeps on the owner's
   /// completion signal; blocking mode: drives owner->flush().
   void wait() const;
   /// wait(), then the solution — or rethrow the job's stored error.
   const la::Matrix& get() const;
-  /// Alias of get() (the pre-async name).
-  const la::Matrix& solution() const { return get(); }
   /// Valid once ready; throws the job's error if it failed.
   const JobStats& stats() const;
 
@@ -411,6 +366,29 @@ GroupChoice choose_group_ranks(la::index_t m, la::index_t n, int jobs, int P,
                                const sim::CostParams& machine,
                                core::Accuracy accuracy = core::Accuracy::Balanced,
                                double float_flop_scale = 1.0);
+
+/// What a finished machine session means for its round (classify_session).
+struct SessionOutcome {
+  /// Rank-health bookkeeping the session calls for.
+  enum class Health {
+    None,              ///< no change (a fault or error without a timeout)
+    QuarantineStalls,  ///< timed out: quarantine the ranks whose stall fired
+    CreditClean,       ///< clean: one probation step for quarantined ranks
+  };
+  bool recoverable = false;  ///< unfinished jobs requeue instead of failing
+  RetryCause cause = RetryCause::RankDeath;  ///< a timeout wins over a death
+  /// Ranks died but no survivor saw it: the caller makes the RankDeath.
+  bool synthesize_death = false;
+  Health health = Health::None;
+};
+
+/// The dispatcher's recovery decision for one session, from plain facts:
+/// did it throw (a fault::RankDeath?), did ranks die, did the deadline
+/// fire, is any job of the round unfinished.  Rank deaths and timeouts are
+/// recoverable by requeueing; anything else is final.  Pure: no lock,
+/// machine or job is touched.
+SessionOutcome classify_session(bool threw, bool threw_rank_death, bool any_deaths,
+                                bool timed_out, bool any_unfinished);
 
 /// The serving object.  submit() is safe to call from any number of driver
 /// threads in both modes.  In blocking mode the execution entry points
@@ -487,9 +465,9 @@ class BatchSolver {
     std::uint64_t jobs_failed = 0;     ///< rejected, errored, or aborted
     std::uint64_t jobs_rejected = 0;   ///< failed fast at admission (counted in jobs_failed)
     std::uint64_t deadline_misses = 0;  ///< jobs resolved after their deadline
-    std::uint64_t flushes = 0;         ///< batch dispatches (executor drains / flush calls)
-    std::uint64_t sessions = 0;        ///< machine sessions (>= flushes: one per group size)
-    std::uint64_t reprofiles = 0;      ///< periodic re-profiles performed
+    std::uint64_t flushes = 0;         ///< drain cycles (queue found non-empty, drained by rounds)
+    std::uint64_t sessions = 0;        ///< machine sessions (one per dispatched round)
+    std::uint64_t reprofiles = 0;      ///< drift-triggered re-profiles performed
     std::uint64_t plan_cache_hits = 0;    ///< jobs whose shape was already sized+tuned
     std::uint64_t plan_cache_misses = 0;  ///< jobs that triggered sizing+tuning
     std::uint64_t attempts = 0;   ///< job machine attempts (>= jobs entering sessions)
@@ -530,9 +508,9 @@ class BatchSolver {
   Stats stats() const;
 
   /// The most recent measured profile (empty unless
-  /// with_profile()/with_reprofile_every()).  A value copy: periodic
-  /// re-profiling replaces the stored profile concurrently, so no reference
-  /// into it can be handed out safely.
+  /// with_profile()/with_reprofile_on_drift()).  A value copy: re-profiling
+  /// replaces the stored profile concurrently, so no reference into it can
+  /// be handed out safely.
   std::optional<MachineProfile> profile() const;
   /// Parameters the owned machine (and therefore the tuner) runs under —
   /// the fitted profile when profiling, the declared one otherwise.
@@ -556,22 +534,50 @@ class BatchSolver {
   /// waiters.  Called from the driver, the executor, or a machine group-root
   /// rank.
   void resolve_job(const std::shared_ptr<detail::Job>& job, std::exception_ptr error);
-  /// Dispatch one scheduling round: pop the best-ranked job, size its
-  /// group, fill the idle groups with queued same-shape jobs, and run
-  /// exactly that round as one machine session (the preemption slice) under
-  /// the session deadline when one is configured.  Handles validation,
-  /// rank-death/timeout requeueing (with backoff), quarantine bookkeeping
-  /// and session errors for the round.  Returns false when no job was ready
-  /// (empty queue, or everything backing off unless `include_delayed`) or
-  /// the solver is aborting (nothing dispatched).  A machine-level session
-  /// error is recorded in the affected handles and, when `session_error` is
-  /// non-null and empty, stored there too (blocking flush() rethrows it).
+  using JobList = std::vector<std::shared_ptr<detail::Job>>;
+  /// One scheduling round as plan_round built it.
+  struct Round {
+    JobList jobs;                   ///< empty: resolved while planning
+    std::vector<int> ranks;         ///< usable ranks the session groups
+    int group_ranks = 1;            ///< ranks per group, clamped to `ranks`
+    int groups = 1;                 ///< groups the session runs concurrently
+    std::uint64_t number = 0;       ///< 1-based round (the sessions count)
+    double deadline_seconds = 0.0;  ///< session deadline (0 = none armed)
+  };
+  /// What the machine reported for one session (run_round's result).
+  struct SessionResult {
+    std::exception_ptr error;  ///< the session's rethrown exception, if any
+    bool timed_out = false;    ///< the session deadline fired
+    std::vector<int> deaths;   ///< ranks that died during the session
+    std::vector<int> stalls;   ///< ranks whose injected stall fired
+  };
+  /// Dispatch one scheduling round — plan_round, run_round,
+  /// classify_session, apply_outcome — as one machine session (the
+  /// preemption slice).  Returns false when no job was ready (empty queue,
+  /// or everything backing off unless `include_delayed`) or the solver is
+  /// aborting.  A machine-level session error is recorded in the affected
+  /// handles and, when `session_error` is non-null and empty, stored there
+  /// too (blocking flush() rethrows it).
   bool dispatch_round(std::exception_ptr* session_error, bool include_delayed = false);
-  /// One machine session: all `jobs` round-robined over groups of (up to) g
-  /// ranks drawn from the machine's *usable* ranks — dead ranks idle out
-  /// permanently, quarantined ranks until reinstated — so a shrunken
-  /// machine keeps serving.
-  void run_session(int g, const std::vector<std::shared_ptr<detail::Job>>& jobs);
+  /// Pop the top job and the same-shape riders that fill the idle groups,
+  /// validate them, size the group and resolve each job's plan, then
+  /// account_round.  nullopt when nothing was popped; no jobs when every
+  /// popped job already resolved (invalid, unplannable, or aborted).
+  std::optional<Round> plan_round(bool include_delayed);
+  /// Counters, retry-after hint, dispatch stamps and session deadline;
+  /// false (nothing counted) when the solver is aborting.
+  bool account_round(Round& round, const sim::CostParams& mp);
+  /// Arm the round's deadline, run its session, disarm, trace the session.
+  SessionResult run_round(const Round& round);
+  /// Act on a classified session: dead ranks, rank health, requeue with
+  /// backoff, exhausted jobs, the abort hand-off, and resolution.
+  void apply_outcome(const Round& round, const SessionResult& run, const SessionOutcome& outcome,
+                     const JobList& unfinished, std::exception_ptr* session_error);
+  /// One machine session: the round's jobs round-robined over groups of
+  /// round.group_ranks drawn from round.ranks, the machine's *usable* ranks
+  /// — dead ranks idle out permanently, quarantined ranks until reinstated
+  /// — so a shrunken machine keeps serving.
+  void run_session(const Round& round);
   /// Ranks a session may group (mu_ held): survivors minus quarantined —
   /// unless that would be empty, in which case capacity wins and the
   /// quarantine is ignored for this session.
@@ -585,11 +591,16 @@ class BatchSolver {
   /// Async-mode flush barrier: wait (bounded when `deadline`) until every
   /// job pending at entry resolved; returns whether that happened.
   bool flush_async(std::optional<std::chrono::steady_clock::time_point> deadline);
-  /// Periodic re-profiling (called between dispatches when configured).
+  /// Start a drain cycle (blocking flush or executor wake-up): re-profile if
+  /// drift calls for it, then count the cycle.
+  void begin_drain_cycle();
+  /// Drift-triggered re-profiling (called at the start of a drain cycle).
   void maybe_reprofile();
   /// Resolve every not-yet-done job in `jobs` with `error`.
-  void resolve_unfinished(const std::vector<std::shared_ptr<detail::Job>>& jobs,
-                          std::exception_ptr error);
+  void resolve_unfinished(const JobList& jobs, std::exception_ptr error);
+  /// Resolve what an unexpected throw out of a drain stranded: the
+  /// in-flight jobs, plus every queued one when `drain_queue`.
+  void resolve_stranded(std::exception_ptr error, bool drain_queue);
   /// Executor thread body (async mode).
   void executor_loop();
   void wait_for(const std::shared_ptr<detail::Job>& job);
@@ -612,9 +623,8 @@ class BatchSolver {
   /// Jobs of the round currently inside the machine: flush()'s barrier
   /// snapshot is sched_.snapshot() + in_flight_ (a popped-but-unresolved job
   /// is in neither the queue nor done).
-  std::vector<std::shared_ptr<detail::Job>> in_flight_;
+  JobList in_flight_;
   std::uint64_t next_seq_ = 0;  ///< submission sequence (FIFO tiebreak)
-  std::uint64_t dispatches_since_profile_ = 0;
   /// Shapes already sized+planned under the current profile: membership
   /// drives the per-job hit/miss counters, and re-profiling clears it so
   /// every shape re-tunes against the fresh fit.
@@ -625,53 +635,54 @@ class BatchSolver {
   /// excluded from every subsequent session's groups.  Ascending, guarded by
   /// mu_; never cleared for the solver's lifetime.
   std::vector<int> dead_ranks_;
-  /// Fail-slow machinery (src/health/).  backoff_ is immutable after
-  /// construction; rank_health_ is guarded by mu_ (externally synchronized,
-  /// like sched_); watchdog_ is used only by the dispatching thread.
-  health::Backoff backoff_;
+  /// Fail-slow machinery (src/health/; the retry backoff lives in opts_).
+  /// rank_health_ is guarded by mu_ (externally synchronized, like sched_);
+  /// watchdog_ is used only by the dispatching thread.
   health::RankHealth rank_health_;
   health::Watchdog watchdog_;
-  /// Model-predicted per-job seconds of the most recent dispatched round
-  /// (guarded by mu_): the basis of the admission retry-after hint.
+  /// Model-predicted per-job seconds of the slowest plan in the most recent
+  /// dispatched round (guarded by mu_): the basis of the admission
+  /// retry-after hint.
   double last_predicted_job_seconds_ = 0.0;
   /// Registry backing every serving metric (the old ad-hoc Stats fields
   /// migrated here).  Individual updates are relaxed atomics, but every bump
   /// happens under mu_ and stats() copies under mu_, so cross-counter
   /// invariants are never observed torn.
   obs::Registry registry_;
-  /// Handles into registry_, resolved once at construction (interning takes
-  /// the registry mutex; these pointers make the hot path lock-free).
+  /// Handles into registry_, each resolved once at construction (interning
+  /// takes the registry mutex; these pointers make the hot path lock-free).
   struct Metrics {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* deadline_misses = nullptr;
-    obs::Counter* flushes = nullptr;
-    obs::Counter* sessions = nullptr;
-    obs::Counter* reprofiles = nullptr;
-    obs::Counter* plan_hits = nullptr;
-    obs::Counter* plan_misses = nullptr;
-    obs::Counter* attempts = nullptr;
-    obs::Counter* recovered = nullptr;
-    obs::Counter* cholesky_jobs = nullptr;
-    obs::Counter* cholesky_fallbacks = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* requeues_timeout = nullptr;
-    obs::Counter* requeues_rank_death = nullptr;
-    obs::Counter* quarantined = nullptr;
-    obs::Counter* reinstated = nullptr;
-    obs::Gauge* quarantined_now = nullptr;
-    obs::Gauge* retry_after = nullptr;
-    obs::Histogram* backoff_delay = nullptr;
-    obs::Gauge* serve_seconds = nullptr;
-    obs::Histogram* latency = nullptr;
-    obs::Histogram* queue_wait = nullptr;
-    obs::Histogram* exec = nullptr;
-    obs::Histogram* drift = nullptr;
-    obs::Histogram* drift_since_profile = nullptr;
+    obs::Registry& r;
+    obs::Counter* submitted = &r.counter("serve.jobs_submitted");
+    obs::Counter* completed = &r.counter("serve.jobs_completed");
+    obs::Counter* failed = &r.counter("serve.jobs_failed");
+    obs::Counter* rejected = &r.counter("serve.jobs_rejected");
+    obs::Counter* deadline_misses = &r.counter("serve.deadline_misses");
+    obs::Counter* flushes = &r.counter("serve.flushes");
+    obs::Counter* sessions = &r.counter("serve.sessions");
+    obs::Counter* reprofiles = &r.counter("serve.reprofiles");
+    obs::Counter* plan_hits = &r.counter("serve.plan_cache_hits");
+    obs::Counter* plan_misses = &r.counter("serve.plan_cache_misses");
+    obs::Counter* attempts = &r.counter("serve.attempts");
+    obs::Counter* recovered = &r.counter("serve.recovered");
+    obs::Counter* cholesky_jobs = &r.counter("serve.jobs_choleskyqr2");
+    obs::Counter* cholesky_fallbacks = &r.counter("serve.cholesky_fallbacks");
+    obs::Counter* timeouts = &r.counter("health.session_timeouts");
+    obs::Counter* requeues_timeout = &r.counter("health.requeues_timeout");
+    obs::Counter* requeues_rank_death = &r.counter("health.requeues_rank_death");
+    obs::Counter* quarantined = &r.counter("health.ranks_quarantined");
+    obs::Counter* reinstated = &r.counter("health.ranks_reinstated");
+    obs::Gauge* quarantined_now = &r.gauge("health.quarantined_now");
+    obs::Gauge* retry_after = &r.gauge("serve.retry_after_seconds");
+    obs::Histogram* backoff_delay = &r.histogram("health.backoff_seconds");
+    obs::Gauge* serve_seconds = &r.gauge("serve.serve_seconds");
+    obs::Histogram* latency = &r.histogram("serve.latency_seconds");
+    obs::Histogram* queue_wait = &r.histogram("serve.queue_seconds");
+    obs::Histogram* exec = &r.histogram("serve.exec_seconds");
+    obs::Histogram* drift = &r.histogram("serve.drift_ratio");
+    obs::Histogram* drift_since_profile = &r.histogram("serve.drift_ratio_since_profile");
   };
-  Metrics m_;
+  Metrics m_{registry_};
   /// Serializes executor_.join() across concurrent shutdown()/abort()/
   /// destructor calls (never held together with mu_; the executor never
   /// takes it).

@@ -46,19 +46,6 @@ Plan PlanCache::lookup_or_compute(const PlanKey& key, const std::function<Plan()
   return plan;
 }
 
-void PlanCache::insert(const PlanKey& key, const Plan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    it->second.plan = plan;
-    touch(it);
-    return;
-  }
-  lru_.push_front(key);
-  plans_.emplace(key, Entry{plan, lru_.begin()});
-  enforce_capacity();
-}
-
 bool PlanCache::contains(const PlanKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   return plans_.find(key) != plans_.end();

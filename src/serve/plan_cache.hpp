@@ -110,10 +110,6 @@ class PlanCache {
   /// 1D-epsilon tuning), not just the 3D grid search.
   Plan lookup_or_compute(const PlanKey& key, const std::function<Plan()>& compute);
 
-  /// Insert/overwrite an externally computed plan (e.g. hand-pinned
-  /// parameters); counts as neither hit nor miss.
-  void insert(const PlanKey& key, const Plan& plan);
-
   /// True if `key` is cached; does not tune and does not touch the counters.
   bool contains(const PlanKey& key) const;
 

@@ -44,9 +44,6 @@ std::string admission_message(std::size_t queue_depth, std::size_t max_queue_dep
 
 }  // namespace
 
-AdmissionError::AdmissionError(std::size_t queue_depth, std::size_t max_queue_depth)
-    : AdmissionError(queue_depth, max_queue_depth, 0.0) {}
-
 AdmissionError::AdmissionError(std::size_t queue_depth, std::size_t max_queue_depth,
                                double retry_after_seconds)
     : std::runtime_error(admission_message(queue_depth, max_queue_depth, retry_after_seconds)),

@@ -72,15 +72,14 @@ inline constexpr int kPriorityClasses = 3;
 /// without bound — retry later, shed load, or route elsewhere.
 class AdmissionError : public std::runtime_error {
  public:
-  AdmissionError(std::size_t queue_depth, std::size_t max_queue_depth);
-  /// With a retry hint: `retry_after_seconds` estimates when the queue will
-  /// have drained enough to admit a resubmission — depth at rejection times
-  /// the model-predicted per-job execution time of the last dispatched
-  /// round (0 when the solver has not dispatched anything yet, so no
-  /// prediction exists).  A *hint*, not a guarantee: it assumes the backlog
-  /// drains at the predicted rate with no further arrivals.
+  /// `retry_after_seconds` estimates when the queue will have drained
+  /// enough to admit a resubmission — depth at rejection times the
+  /// model-predicted per-job execution time of the last dispatched round
+  /// (0 when the solver has not dispatched anything yet, so no prediction
+  /// exists).  A *hint*, not a guarantee: it assumes the backlog drains at
+  /// the predicted rate with no further arrivals.
   AdmissionError(std::size_t queue_depth, std::size_t max_queue_depth,
-                 double retry_after_seconds);
+                 double retry_after_seconds = 0.0);
   /// Queue depth observed at the rejected submission.
   std::size_t queue_depth() const { return queue_depth_; }
   /// The configured admission cap.
@@ -189,7 +188,6 @@ namespace detail {
 struct Job {
   la::Matrix A, b;
   Plan plan;
-  int group_ranks = 0;
   la::Matrix x;
   std::exception_ptr error;
   std::atomic<bool> done{false};
@@ -205,7 +203,6 @@ struct Job {
   // Dispatch state (only the dispatching thread writes these).
   bool dispatched = false;  ///< entered the machine at least once
   std::chrono::steady_clock::time_point dispatched_at;  ///< first machine dispatch
-  int attempts = 0;         ///< machine attempts so far
   std::exception_ptr original_error;  ///< first recoverable session error
   /// Retry backoff: the job is not dispatchable before this instant
   /// (default epoch = immediately).  Set on requeue from the deterministic

@@ -391,52 +391,6 @@ TEST(AsyncServe, InvalidJobsStayIsolatedUnderTheExecutor) {
 }
 
 // ---------------------------------------------------------------------------
-// Periodic re-profiling
-// ---------------------------------------------------------------------------
-
-TEST(AsyncServe, ReprofileEveryDispatchRetunesEachShape) {
-  // Re-profiling swaps the machine for one built on the fresh fit and
-  // invalidates the per-shape sizing, so the same shape tunes again (a
-  // second miss) — blocking mode, where dispatch boundaries are exact.
-  serve::ProfileOptions po;
-  po.pingpong_reps = 16;
-  po.stream_words = 2048;
-  po.stream_reps = 2;
-  po.gemm_size = 32;
-  po.gemm_reps = 1;
-  serve::BatchSolver srv(serve::ServeOptions()
-                             .with_ranks(2)
-                             .with_reprofile_every(1)
-                             .with_profile_options(po));
-  ASSERT_TRUE(srv.profile().has_value());  // reprofile_every implies with_profile
-
-  const index_t m = 48, n = 12;
-  for (int round = 0; round < 2; ++round) {
-    std::vector<serve::JobHandle> handles;
-    std::vector<Planted> problems;
-    for (int j = 0; j < 3; ++j) {
-      problems.push_back(
-          planted_problem(m, n, 7900 + 10 * static_cast<std::uint64_t>(round) +
-                                    2 * static_cast<std::uint64_t>(j)));
-      handles.push_back(srv.submit(problems.back().A, problems.back().b));
-    }
-    srv.flush();
-    for (int j = 0; j < 3; ++j)
-      EXPECT_LT(solution_error(handles[static_cast<std::size_t>(j)].get(),
-                               problems[static_cast<std::size_t>(j)].x_true),
-                1e-10);
-  }
-  const auto st = srv.stats();
-  // Dispatch 1 profiles at construction and tunes the shape (miss);
-  // dispatch 2 re-profiles first (dispatches_since_profile reached 1) and
-  // the shape tunes again against the fresh fit.
-  EXPECT_EQ(st.reprofiles, 1u);
-  EXPECT_EQ(st.plan_cache_misses, 2u);
-  EXPECT_EQ(st.plan_cache_hits, 4u);
-  EXPECT_EQ(st.flushes, 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Async agreement with blocking mode
 // ---------------------------------------------------------------------------
 

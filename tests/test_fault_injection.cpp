@@ -649,7 +649,6 @@ serve::ServeOptions chaos_opts(qr3d::Backend be) {
       .with_session_timeout_factor(3.0)
       .with_qr(qr3d::QrOptions().with_tune_for_machine().with_backend(be))
       .with_params(sim::CostParams{1e-7, 1e-9, 1e-10});
-  opts.with_session_timeout_floor(be == qr3d::Backend::Thread ? 0.2 : 0.05);
   return opts;
 }
 
@@ -759,5 +758,94 @@ TEST(SelfHealingServe, ChaosSweepMixedKillsAndStalls) {
       // One kill + one stall against four attempts: nothing should exhaust.
       EXPECT_EQ(st.jobs_failed, 0u);
     }
+  }
+}
+
+TEST(SelfHealingServe, RecoveryDecisionsArePinned) {
+  // Refactor guard for the dispatcher's recovery path: a seeded kill+stall
+  // run on the simulator (the chaos sweep's setup) pins every decision it
+  // makes.  Each job is flushed on its own, so every round runs one job and
+  // no other group's job races the fault's session abort.  Seed 1 kills
+  // rank 1 in round 1 (rank_death requeue) and stalls rank 0 in the retry
+  // (timeout, rank 0 quarantined); later clean rounds reinstate rank 0.
+  // With three attempts the job recovers; with two it exhausts and keeps
+  // its ORIGINAL RankDeath, which the blocking flush rethrows.
+  struct Expected {
+    const char* error;  // final error type, "none" for a solved job
+    int attempts;       // only readable for a solved job
+    std::vector<serve::RetryCause> causes;
+    std::uint64_t round;
+  };
+  struct Counters {
+    std::uint64_t sessions, attempts, recovered, flushes, session_timeouts, requeues_timeout,
+        requeues_rank_death, ranks_quarantined, ranks_reinstated;
+  };
+  struct Case {
+    int max_attempts;
+    std::vector<Expected> jobs;
+    Counters counters;
+  };
+  const auto rank_death = serve::RetryCause::RankDeath;
+  const auto timeout = serve::RetryCause::Timeout;
+  const std::vector<Case> cases = {
+      {3,
+       {{"none", 3, {rank_death, timeout}, 3},
+        {"none", 1, {}, 4},
+        {"none", 1, {}, 5},
+        {"none", 1, {}, 6}},
+       {6, 6, 1, 4, 1, 1, 1, 1, 1}},
+      {2,
+       {{"RankDeath", 0, {}, 0}, {"none", 1, {}, 3}, {"none", 1, {}, 4}, {"none", 1, {}, 5}},
+       {5, 5, 0, 4, 1, 0, 1, 1, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("max_attempts=" + std::to_string(c.max_attempts));
+    serve::BatchSolver srv(chaos_opts(qr3d::Backend::Simulated).with_max_attempts(c.max_attempts));
+    srv.machine().set_fault_plan(fault::Plan::random_faults(4, 1, 1, 12, /*seed=*/1));
+    std::vector<Planted> problems;
+    std::vector<serve::JobHandle> hs;
+    for (std::size_t j = 0; j < c.jobs.size(); ++j) {
+      problems.push_back(planted_problem(40, 8, 3000 + 2 * static_cast<std::uint64_t>(j)));
+      hs.push_back(srv.submit(problems.back().A, problems.back().b));
+      if (std::string(c.jobs[j].error) == "RankDeath") {
+        EXPECT_THROW(srv.flush(), fault::RankDeath);
+      } else {
+        srv.flush();
+      }
+    }
+    for (std::size_t j = 0; j < c.jobs.size(); ++j) {
+      SCOPED_TRACE("job " + std::to_string(j));
+      const Expected& want = c.jobs[j];
+      ASSERT_TRUE(hs[j].ready());
+      std::string error = "none";
+      try {
+        (void)hs[j].get();
+      } catch (const fault::RankDeath&) {
+        error = "RankDeath";
+      } catch (const health::SessionTimeout&) {
+        error = "SessionTimeout";
+      }
+      EXPECT_EQ(error, want.error);
+      if (error != "none") continue;  // stats() rethrows for a failed job
+      EXPECT_LT(solution_error(hs[j].get(), problems[j].x_true), 1e-10);
+      const serve::JobStats& s = hs[j].stats();
+      EXPECT_EQ(s.attempts, want.attempts);
+      EXPECT_EQ(s.round, want.round);
+      ASSERT_EQ(s.retries.size(), want.causes.size());
+      for (std::size_t r = 0; r < want.causes.size(); ++r) {
+        EXPECT_EQ(s.retries[r].cause, want.causes[r]) << "retry " << r;
+        EXPECT_EQ(s.retries[r].backoff_seconds, 0.0) << "retry " << r;  // backoff off
+      }
+    }
+    const auto st = srv.stats();
+    EXPECT_EQ(st.sessions, c.counters.sessions);
+    EXPECT_EQ(st.attempts, c.counters.attempts);
+    EXPECT_EQ(st.recovered, c.counters.recovered);
+    EXPECT_EQ(st.flushes, c.counters.flushes);
+    EXPECT_EQ(st.session_timeouts, c.counters.session_timeouts);
+    EXPECT_EQ(st.requeues_timeout, c.counters.requeues_timeout);
+    EXPECT_EQ(st.requeues_rank_death, c.counters.requeues_rank_death);
+    EXPECT_EQ(st.ranks_quarantined, c.counters.ranks_quarantined);
+    EXPECT_EQ(st.ranks_reinstated, c.counters.ranks_reinstated);
   }
 }

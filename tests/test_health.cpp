@@ -56,17 +56,15 @@ serve::ServeOptions stall_opts(qr3d::Backend be) {
       .with_group_ranks(2)
       .with_max_attempts(3)
       .with_session_timeout_factor(3.0)
-      .with_session_timeout_floor(0.05)
       .with_qr(qr3d::QrOptions().with_tune_for_machine().with_backend(be));
   // Tiny declared params so the session-deadline floor governs on both
   // backends: the cost model predicts the factorization, not the session's
   // scatter/gather framing, so a tight factor over sim-scale predictions
   // would time out honest sessions.  On the simulator the floor is 0.05
   // VIRTUAL seconds (clean sessions charge microseconds, an injected stall
-  // jumps straight to the deadline — zero wall cost); on threads it is
-  // raised to 0.2 WALL seconds so a loaded CI box cannot trip it clean.
+  // jumps straight to the deadline — zero wall cost); on threads it is 0.2
+  // WALL seconds so a loaded CI box cannot trip it clean.
   opts.with_params(sim::CostParams{1e-7, 1e-9, 1e-10});
-  if (be == qr3d::Backend::Thread) opts.with_session_timeout_floor(0.2);
   return opts;
 }
 
@@ -203,6 +201,80 @@ TEST(Watchdog, RetriesUntilTheCallbackSucceeds) {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_TRUE(wd.disarm());
   EXPECT_EQ(calls.load(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// serve::classify_session: the dispatcher's pure recovery decision
+// ---------------------------------------------------------------------------
+
+TEST(ClassifySession, EveryInputCombination) {
+  // All 32 combinations of (threw, threw RankDeath, any deaths, timed out,
+  // any unfinished).  A RankDeath flag without a throw cannot happen and is
+  // ignored; a clean session with an unfinished job and no death is the
+  // dispatcher's assertion, not a decision.
+  using Health = serve::SessionOutcome::Health;
+  constexpr auto kDeath = serve::RetryCause::RankDeath;
+  constexpr auto kTimeout = serve::RetryCause::Timeout;
+  constexpr auto kNone = Health::None;
+  constexpr auto kQuarantine = Health::QuarantineStalls;
+  constexpr auto kCredit = Health::CreditClean;
+  struct Row {
+    bool threw, threw_rank_death, any_deaths, timed_out, any_unfinished;
+    bool recoverable;
+    serve::RetryCause cause;
+    bool synthesize_death;
+    Health health;
+  };
+  const Row rows[] = {
+      {false, false, false, false, false, false, kDeath, false, kCredit},
+      {false, false, false, false, true, false, kDeath, false, kCredit},
+      {false, false, false, true, false, true, kTimeout, false, kQuarantine},
+      {false, false, false, true, true, true, kTimeout, false, kQuarantine},
+      {false, false, true, false, false, true, kDeath, false, kNone},
+      // A death no survivor observed: the RankDeath is synthesized.
+      {false, false, true, false, true, true, kDeath, true, kNone},
+      {false, false, true, true, false, true, kTimeout, false, kQuarantine},
+      {false, false, true, true, true, true, kTimeout, false, kQuarantine},
+      {false, true, false, false, false, false, kDeath, false, kCredit},
+      {false, true, false, false, true, false, kDeath, false, kCredit},
+      {false, true, false, true, false, true, kTimeout, false, kQuarantine},
+      {false, true, false, true, true, true, kTimeout, false, kQuarantine},
+      {false, true, true, false, false, true, kDeath, false, kNone},
+      {false, true, true, false, true, true, kDeath, true, kNone},
+      {false, true, true, true, false, true, kTimeout, false, kQuarantine},
+      {false, true, true, true, true, true, kTimeout, false, kQuarantine},
+      {true, false, false, false, false, false, kDeath, false, kNone},
+      // A generic error with no deaths and no timeout is final.
+      {true, false, false, false, true, false, kDeath, false, kNone},
+      {true, false, false, true, false, true, kTimeout, false, kQuarantine},
+      // A timeout whose surfaced error is a generic abort: cause Timeout.
+      {true, false, false, true, true, true, kTimeout, false, kQuarantine},
+      {true, false, true, false, false, true, kDeath, false, kNone},
+      {true, false, true, false, true, true, kDeath, false, kNone},
+      {true, false, true, true, false, true, kTimeout, false, kQuarantine},
+      {true, false, true, true, true, true, kTimeout, false, kQuarantine},
+      {true, true, false, false, false, true, kDeath, false, kNone},
+      {true, true, false, false, true, true, kDeath, false, kNone},
+      {true, true, false, true, false, true, kTimeout, false, kQuarantine},
+      {true, true, false, true, true, true, kTimeout, false, kQuarantine},
+      {true, true, true, false, false, true, kDeath, false, kNone},
+      {true, true, true, false, true, true, kDeath, false, kNone},
+      {true, true, true, true, false, true, kTimeout, false, kQuarantine},
+      // Timeout plus death: cause Timeout, and the stalls are quarantined.
+      {true, true, true, true, true, true, kTimeout, false, kQuarantine},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "threw=" << r.threw << " threw_rank_death=" << r.threw_rank_death
+                 << " any_deaths=" << r.any_deaths << " timed_out=" << r.timed_out
+                 << " any_unfinished=" << r.any_unfinished);
+    const serve::SessionOutcome out = serve::classify_session(
+        r.threw, r.threw_rank_death, r.any_deaths, r.timed_out, r.any_unfinished);
+    EXPECT_EQ(out.recoverable, r.recoverable);
+    EXPECT_EQ(out.cause, r.cause);
+    EXPECT_EQ(out.synthesize_death, r.synthesize_death);
+    EXPECT_EQ(out.health, r.health);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -383,7 +455,6 @@ TEST(ServeFailSlow, RecoveredSolutionsMatchAcrossBackends) {
 
 TEST(ServeFailSlow, QuarantinedRankIsReinstatedAfterProbation) {
   auto opts = stall_opts(qr3d::Backend::Simulated);
-  opts.with_quarantine_probation(2);
   serve::BatchSolver srv(opts);
   srv.machine().set_fault_plan(fault::Plan::stall(1, 5));
 
@@ -432,6 +503,44 @@ TEST(ServeFailSlow, BackoffScheduleIsReproducible) {
     EXPECT_GT(first[i].backoff_seconds, 0.0) << "retry " << i;
     EXPECT_LT(first[i].backoff_seconds, 0.008) << "retry " << i;
   }
+}
+
+TEST(ServeFailSlow, SessionDeadlineCoversTheSlowestPlanInTheRound) {
+  // A Balanced job dispatches to CholeskyQR2 at this shape, while an
+  // Accurate rider of the same shape runs its own (slower-predicted)
+  // Householder plan in the same session.  The session deadline must cover
+  // the slowest plan it runs: a mixed round arms exactly the deadline of an
+  // Accurate-only round.  Factor 1 and a single attempt: the Householder
+  // serving path overruns its prediction here, so both rounds time out and
+  // the Accurate handle reports the deadline its session was given.
+  using qr3d::core::Accuracy;
+  const auto p = planted_problem(4096, 32, 2300);
+  auto deadline_of = [&](const std::vector<Accuracy>& contracts) {
+    serve::ServeOptions opts;
+    opts.with_ranks(4)
+        .with_group_ranks(2)
+        .with_max_attempts(1)
+        .with_session_timeout_factor(1.0)
+        .with_qr(qr3d::QrOptions().with_tune_for_machine().with_backend(
+            qr3d::Backend::Simulated));
+    serve::BatchSolver srv(opts);
+    std::vector<serve::JobHandle> hs;
+    for (Accuracy a : contracts)
+      hs.push_back(srv.submit(p.A, p.b, serve::SubmitOptions().with_accuracy(a)));
+    (void)srv.flush_for(600.0);  // errors stay in the handles
+    EXPECT_EQ(srv.stats().sessions, 1u);
+    try {
+      (void)hs.back().get();
+    } catch (const health::SessionTimeout& e) {
+      return e.deadline_seconds();
+    }
+    ADD_FAILURE() << "the Accurate job must time out at factor 1";
+    return 0.0;
+  };
+  const double accurate_only = deadline_of({Accuracy::Accurate});
+  const double mixed = deadline_of({Accuracy::Balanced, Accuracy::Accurate});
+  EXPECT_GT(accurate_only, 0.0);
+  EXPECT_EQ(mixed, accurate_only);
 }
 
 // ---------------------------------------------------------------------------

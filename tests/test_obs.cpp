@@ -496,6 +496,9 @@ TEST(ServeDrift, MedianDriftTriggersReprofile) {
 
   const auto st = srv.stats();
   EXPECT_GE(st.reprofiles, 1u);
+  // The re-profile swapped in a fresh fit, so the shape sized and tuned
+  // again: a second plan-cache miss.
+  EXPECT_EQ(st.plan_cache_misses, 2u);
   // The since-profile histogram was reset at the reprofile; the cumulative
   // one keeps every sample.
   EXPECT_EQ(st.drift_samples, 9u);

@@ -64,13 +64,13 @@ TEST(BatchSolver, SameShapeBatchSolvesAndCaches) {
   for (int j = 0; j < kJobs; ++j) {
     problems.push_back(planted_problem(m, n, 100 + static_cast<std::uint64_t>(2 * j)));
     handles.push_back(srv.submit(problems.back().A, problems.back().b));
-    EXPECT_FALSE(handles.back().done());
+    EXPECT_FALSE(handles.back().ready());
   }
   srv.flush();
 
   for (int j = 0; j < kJobs; ++j) {
-    ASSERT_TRUE(handles[static_cast<std::size_t>(j)].done());
-    const la::Matrix& x = handles[static_cast<std::size_t>(j)].solution();
+    ASSERT_TRUE(handles[static_cast<std::size_t>(j)].ready());
+    const la::Matrix& x = handles[static_cast<std::size_t>(j)].get();
     EXPECT_EQ(x.rows(), n);
     EXPECT_EQ(x.cols(), 1);
     EXPECT_LT(solution_error(x, problems[static_cast<std::size_t>(j)].x_true), 1e-10)
@@ -106,7 +106,7 @@ TEST(BatchSolver, MixedShapesHitAndMissCountersAreExact) {
   }
   srv.flush();
   for (std::size_t j = 0; j < shapes.size(); ++j) {
-    EXPECT_LT(solution_error(handles[j].solution(), problems[j].x_true), 1e-10) << "job " << j;
+    EXPECT_LT(solution_error(handles[j].get(), problems[j].x_true), 1e-10) << "job " << j;
     EXPECT_EQ(handles[j].stats().plan_cache_hit, j >= 2);
   }
   EXPECT_EQ(srv.stats().plan_cache_misses, 2u);
@@ -129,19 +129,19 @@ TEST(BatchSolver, InvalidJobPropagatesWithoutPoisoningTheBatch) {
   serve::JobHandle h2 = srv.submit(good2.A, good2.b);
   srv.flush();
 
-  EXPECT_THROW(bad_shape.solution(), std::invalid_argument);
-  EXPECT_THROW(bad_rhs.solution(), std::invalid_argument);
+  EXPECT_THROW(bad_shape.get(), std::invalid_argument);
+  EXPECT_THROW(bad_rhs.get(), std::invalid_argument);
   EXPECT_THROW(bad_shape.stats(), std::invalid_argument);
   // The failures are isolated: both valid jobs solved correctly.
-  EXPECT_LT(solution_error(h1.solution(), good1.x_true), 1e-10);
-  EXPECT_LT(solution_error(h2.solution(), good2.x_true), 1e-10);
+  EXPECT_LT(solution_error(h1.get(), good1.x_true), 1e-10);
+  EXPECT_LT(solution_error(h2.get(), good2.x_true), 1e-10);
   EXPECT_EQ(srv.stats().jobs_failed, 2u);
   EXPECT_EQ(srv.stats().jobs_completed, 2u);
 
   // The machine is not poisoned for later flushes either.
   Planted good3 = planted_problem(m, n, 510);
   serve::JobHandle h3 = srv.submit(good3.A, good3.b);
-  EXPECT_LT(solution_error(h3.solution(), good3.x_true), 1e-10);  // auto-flush
+  EXPECT_LT(solution_error(h3.get(), good3.x_true), 1e-10);  // auto-flush
   EXPECT_EQ(srv.stats().flushes, 2u);
 }
 
@@ -150,8 +150,8 @@ TEST(BatchSolver, SolutionAutoFlushesAndSolveAllReturnsInOrder) {
   serve::BatchSolver srv(serve::ServeOptions().with_ranks(2));
   Planted p = planted_problem(m, n, 600);
   serve::JobHandle h = srv.submit(p.A, p.b);
-  // No explicit flush: solution() drives it.
-  EXPECT_LT(solution_error(h.solution(), p.x_true), 1e-10);
+  // No explicit flush: get() drives it.
+  EXPECT_LT(solution_error(h.get(), p.x_true), 1e-10);
 
   std::vector<std::pair<la::Matrix, la::Matrix>> bulk;
   std::vector<Planted> planted;
@@ -274,8 +274,8 @@ TEST(AccuracyContract, FastAndBalancedJobsRideCholeskyQr2EndToEnd) {
   EXPECT_EQ(hb.stats().accuracy, qr3d::core::Accuracy::Balanced);
   EXPECT_EQ(hf.stats().cholesky_fallbacks, 0);
   EXPECT_EQ(hb.stats().cholesky_fallbacks, 0);
-  EXPECT_LT(solution_error(hf.solution(), pf.x_true), 1e-4);
-  EXPECT_LT(solution_error(hb.solution(), pb.x_true), 1e-10);
+  EXPECT_LT(solution_error(hf.get(), pf.x_true), 1e-4);
+  EXPECT_LT(solution_error(hb.get(), pb.x_true), 1e-10);
   EXPECT_EQ(srv.stats().jobs_choleskyqr2, 2u);
   EXPECT_EQ(srv.stats().cholesky_fallbacks, 0u);
 }
@@ -287,7 +287,7 @@ TEST(AccuracyContract, AccurateForcesTheHouseholderPath) {
   serve::JobHandle h = srv.submit(
       p.A, p.b, serve::SubmitOptions().with_accuracy(qr3d::core::Accuracy::Accurate));
   srv.flush();
-  EXPECT_LT(solution_error(h.solution(), p.x_true), 1e-10);
+  EXPECT_LT(solution_error(h.get(), p.x_true), 1e-10);
   EXPECT_EQ(srv.stats().jobs_choleskyqr2, 0u);
   EXPECT_EQ(srv.stats().cholesky_fallbacks, 0u);
 }
@@ -313,9 +313,9 @@ TEST(AccuracyContract, IllConditionedJobFallsBackToHouseholderInSession) {
   srv.flush();
 
   EXPECT_EQ(h.stats().cholesky_fallbacks, 1);
-  EXPECT_LT(solution_error(h.solution(), x_true), 1e-4);  // kappa-limited forward error
+  EXPECT_LT(solution_error(h.get(), x_true), 1e-4);  // kappa-limited forward error
   EXPECT_EQ(hok.stats().cholesky_fallbacks, 0);
-  EXPECT_LT(solution_error(hok.solution(), ok.x_true), 1e-10);
+  EXPECT_LT(solution_error(hok.get(), ok.x_true), 1e-10);
   EXPECT_EQ(srv.stats().cholesky_fallbacks, 1u);
   EXPECT_GE(srv.stats().jobs_choleskyqr2, 2u);
   EXPECT_EQ(srv.stats().jobs_failed, 0u);
@@ -413,9 +413,10 @@ TEST(PlanCache, ServeSweepPastCapacityStaysBoundedAndRetunes) {
   // shape sweep wider than the cache.  The cache stays bounded, evictions
   // surface in Stats, and a re-encountered evicted shape simply re-tunes.
   serve::ServeOptions opts;
-  opts.with_ranks(2).with_group_ranks(2).with_plan_cache_capacity(3).with_qr(
+  opts.with_ranks(2).with_group_ranks(2).with_qr(
       qr3d::QrOptions().with_tune_for_machine().with_backend(qr3d::Backend::Simulated));
   serve::BatchSolver srv(opts);
+  srv.plan_cache()->set_capacity(3);
   for (int round = 0; round < 2; ++round) {
     for (int s = 0; s < 6; ++s) {
       const index_t m = 48 + 16 * static_cast<index_t>(s);
@@ -490,7 +491,7 @@ TEST(ProfileMachine, BatchSolverConsumesTheFittedProfileEndToEnd) {
   Planted p = planted_problem(64, 32, 1000);
   serve::JobHandle h = srv.submit(p.A, p.b);
   srv.flush();
-  EXPECT_LT(solution_error(h.solution(), p.x_true), 1e-10);
+  EXPECT_LT(solution_error(h.get(), p.x_true), 1e-10);
   EXPECT_EQ(srv.stats().plan_cache_misses, 1u);
 }
 
