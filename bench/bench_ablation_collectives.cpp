@@ -1,5 +1,5 @@
 // E8 — Ablations of the collective-algorithm choices the paper's analysis
-// rests on (DESIGN.md section 6):
+// rests on:
 //
 // (a) bidirectional exchange vs binomial tree for broadcast/reduce across
 //     block sizes (Appendix A.2's large-block saving);

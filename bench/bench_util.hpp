@@ -1,12 +1,11 @@
 // Shared helpers for the benchmark harness: distributed-input builders,
 // measured-vs-model table printing, and simulated runs.
 //
-// Every bench binary regenerates one table/figure/claim from the paper (see
-// DESIGN.md section 5).  "Measured" numbers are the simulator's per-metric
-// critical-path counts (Section 3 semantics); "model" numbers come from
-// cost/model.hpp with constants 1, so the meaningful signal is the *ratio's
-// stability across the sweep* and the ordering between algorithms, not the
-// absolute value.
+// Every bench binary regenerates one table/figure/claim from the paper; its
+// header comment and printed banner name which.  "Measured" numbers are the
+// simulator's per-metric critical-path counts (Section 3 semantics); "model"
+// numbers come from cost/model.hpp with constants 1, so the meaningful signal
+// is the *ratio's stability across the sweep*, not the absolute value.
 #pragma once
 
 #include <algorithm>

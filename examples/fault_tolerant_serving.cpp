@@ -57,13 +57,17 @@ int main() {
   serve::BatchSolver srv(serve::ServeOptions().with_ranks(4).with_group_ranks(2));
   // Script the failure while the machine is idle: kill rank 3 at its 9th
   // communication op — mid-solve, deterministically, on the thread backend.
+  // Accurate jobs take the Householder (TSQR) path, whose sessions run long
+  // enough for the 9th op to land; a Balanced job this small dispatches
+  // CholeskyQR2, and its few ops per session would never reach it.
   srv.machine().set_fault_plan(fault::Plan::kill(3, 9));
+  const auto accurate = serve::SubmitOptions().with_accuracy(qr3d::core::Accuracy::Accurate);
 
   std::vector<Planted> problems;
   std::vector<serve::JobHandle> handles;
   for (int j = 0; j < 6; ++j) {
     problems.push_back(planted_problem(64, 12, 100 + 2 * static_cast<std::uint64_t>(j)));
-    handles.push_back(srv.submit(problems.back().A, problems.back().b));
+    handles.push_back(srv.submit(problems.back().A, problems.back().b, accurate));
   }
   srv.flush();
 

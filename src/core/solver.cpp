@@ -71,7 +71,6 @@ Factorization Solver::factor(const DistMatrix& A) const {
   params.b_star = opts_.base_block_size();
   params.delta = opts_.delta();
   params.epsilon = opts_.epsilon();
-  params.alltoall_alg = opts_.alltoall();
   params = core::resolve_algorithm(m, n, P, opts_.algorithm(), params);
 
   if (opts_.tune_for_machine() && params.b == 0) {
@@ -99,7 +98,6 @@ Factorization Solver::factor(const DistMatrix& A, const serve::Plan& plan) const
   params.b_star = plan.b_star;
   params.delta = plan.delta;
   params.epsilon = plan.epsilon;
-  params.alltoall_alg = opts_.alltoall();
   // No resolve_algorithm and no tuner: the plan *is* the resolved choice.
   // Tuned (delta, epsilon) may lie anywhere in the tuner's [0, 1] grid, like
   // the tuned path above (the Theorem 1/2 ranges are an option-setter

@@ -17,7 +17,6 @@
 #include <memory>
 
 #include "backend/machine.hpp"
-#include "coll/coll.hpp"
 #include "core/api.hpp"
 #include "core/dist_matrix.hpp"
 #include "la/blas.hpp"
@@ -67,11 +66,6 @@ class QrOptions {
     tune_for_machine_ = on;
     return *this;
   }
-  /// all-to-all variant for the dmm-layout redistributions.
-  QrOptions& with_alltoall(coll::Alg alg) {
-    alltoall_ = alg;
-    return *this;
-  }
   /// Execution backend for machines built via qr3d::make_machine(opts, ...).
   /// The Solver itself is backend-agnostic — it factors on whatever
   /// communicator the DistMatrix lives on.
@@ -95,7 +89,6 @@ class QrOptions {
   la::index_t block_size() const { return b_; }               ///< pinned b (0 = derive)
   la::index_t base_block_size() const { return b_star_; }     ///< pinned b* (0 = derive)
   bool tune_for_machine() const { return tune_for_machine_; } ///< machine tuning on?
-  coll::Alg alltoall() const { return alltoall_; }            ///< all-to-all variant
   Backend backend() const { return backend_; }                ///< machine factory kind
   Accuracy accuracy() const { return accuracy_; }             ///< accuracy/speed contract
 
@@ -111,7 +104,6 @@ class QrOptions {
   la::index_t b_ = 0;
   la::index_t b_star_ = 0;
   bool tune_for_machine_ = false;
-  coll::Alg alltoall_ = coll::Alg::Auto;
   Backend backend_ = Backend::Simulated;
   Accuracy accuracy_ = Accuracy::Balanced;
 };

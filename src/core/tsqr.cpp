@@ -1,14 +1,14 @@
 #include "core/tsqr.hpp"
 
-#include <cmath>
+#include <utility>
 #include <vector>
 
+#include "coll/coll.hpp"
 #include "la/blas.hpp"
 #include "la/flops.hpp"
 #include "la/householder.hpp"
 #include "la/lu.hpp"
 #include "la/packing.hpp"
-#include "la/qr_eg_serial.hpp"
 #include "la/triangular.hpp"
 
 namespace qr3d::core {
@@ -18,67 +18,72 @@ namespace {
 constexpr int kTagUpsweep = 8101;
 constexpr int kTagDownsweep = 8102;
 
-/// One stored internal node of this rank's path through the reduction tree.
-struct TreeNode {
-  int partner;     // rank whose R-factor was stacked below ours
-  la::Matrix V;    // 2n x n basis of the combining QR
-  la::Matrix T;    // n x n kernel
-};
-
 }  // namespace
 
-DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions opts) {
-  const int P = comm.size();
-  const int me = comm.rank();
+DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local) {
+  detail::TsqrState s = detail::tsqr_leaf(comm, A_local);
+  detail::tsqr_upsweep(comm, s);
+  return detail::tsqr_finish(comm, std::move(s));
+}
+
+namespace detail {
+
+TsqrState tsqr_leaf(backend::Comm& comm, la::ConstMatrixView A_local) {
   const la::index_t mp = A_local.rows();
   const la::index_t n = A_local.cols();
   QR3D_CHECK(mp >= n, "tsqr: every rank needs at least n rows (m/n >= P)");
 
-  // --- Upsweep: local QR, then binomial reduction of R-factors. ------------
-  la::Matrix V0, T0, R;
-  if (opts.local_recursive_threshold > 0) {
-    la::QrFactors f = la::qr_factor_recursive<double>(A_local, opts.local_recursive_threshold);
-    V0 = std::move(f.V);
-    T0 = std::move(f.T_);
-    R = std::move(f.R);
-  } else {
-    la::Matrix F = la::copy<double>(A_local);
-    T0 = la::Matrix(n, n);
-    la::geqrt(F.view(), T0.view());
-    V0 = la::extract_v<double>(F.view());
-    R = la::extract_r<double>(F.view());
-  }
+  TsqrState s;
+  la::Matrix F = la::copy<double>(A_local);
+  s.T0 = la::Matrix(n, n);
+  la::geqrt(F.view(), s.T0.view());
+  s.V0 = la::extract_v<double>(F.view());
+  s.R = la::extract_r<double>(F.view());
   comm.charge_flops(la::flops::geqrt(mp, n));
+  return s;
+}
 
-  std::vector<TreeNode> nodes;  // combines at this rank, in upsweep order
-  int parent = -1;              // whom we sent our R to (and its tree level)
+void tsqr_combine(backend::Comm& comm, TsqrState& s, int child, la::ConstMatrixView R_child) {
+  const la::index_t n = s.R.rows();
+  la::Matrix stacked(2 * n, n);
+  la::assign<double>(stacked.block(0, 0, n, n), s.R.view());
+  la::assign<double>(stacked.block(n, 0, n, n), R_child);
+  la::Matrix Tl(n, n);
+  la::geqrt(stacked.view(), Tl.view());
+  comm.charge_flops(la::flops::geqrt(2 * n, n));
+  s.R = la::extract_r<double>(stacked.view());
+  s.nodes.push_back(TsqrNode{child, la::extract_v<double>(stacked.view()), std::move(Tl)});
+}
+
+void tsqr_upsweep(backend::Comm& comm, TsqrState& s) {
+  const int P = comm.size();
+  const int me = comm.rank();
   for (int mask = 1; mask < P; mask <<= 1) {
     if ((me & mask) != 0) {
-      parent = me - mask;
-      comm.send(parent, la::pack_upper(R.view()), kTagUpsweep);
-      break;
+      s.parent = me - mask;
+      comm.send(s.parent, la::pack_upper(s.R.view()), kTagUpsweep);
+      return;
     }
     if (me + mask < P) {
-      la::Matrix Rq = la::unpack_upper(n, comm.recv(me + mask, kTagUpsweep));
-      la::Matrix stacked(2 * n, n);
-      la::assign<double>(stacked.block(0, 0, n, n), R.view());
-      la::assign<double>(stacked.block(n, 0, n, n), Rq.view());
-      la::Matrix Tl(n, n);
-      la::geqrt(stacked.view(), Tl.view());
-      comm.charge_flops(la::flops::geqrt(2 * n, n));
-      R = la::extract_r<double>(stacked.view());
-      nodes.push_back(TreeNode{me + mask, la::extract_v<double>(stacked.view()), std::move(Tl)});
+      const la::Matrix Rq = la::unpack_upper(s.R.rows(), comm.recv(me + mask, kTagUpsweep));
+      tsqr_combine(comm, s, me + mask, Rq.view());
     }
   }
+}
+
+DistributedQr tsqr_finish(backend::Comm& comm, TsqrState&& s) {
+  const int me = comm.rank();
+  const la::index_t mp = s.V0.rows();
+  const la::index_t n = s.V0.cols();
 
   // --- Downsweep: push identity columns back down the tree. ----------------
   la::Matrix B;
   if (me == 0) {
     B = la::Matrix::identity(n);
   } else {
-    B = la::from_vector(n, n, comm.recv(parent, kTagDownsweep));
+    B = la::from_vector(n, n, comm.recv(s.parent, kTagDownsweep));
   }
-  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+  for (auto it = s.nodes.rbegin(); it != s.nodes.rend(); ++it) {
     la::Matrix C(2 * n, n);
     la::assign<double>(C.block(0, 0, n, n), B.view());
     la::apply_q<double>(it->V.view(), it->T.view(), la::Op::NoTrans, C.view());
@@ -91,7 +96,7 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions
   // leading n columns.
   la::Matrix W(mp, n);
   la::assign<double>(W.block(0, 0, n, n), B.view());
-  la::apply_q<double>(V0.view(), T0.view(), la::Op::NoTrans, W.view());
+  la::apply_q<double>(s.V0.view(), s.T0.view(), la::Op::NoTrans, W.view());
   comm.charge_flops(la::flops::larfb(mp, n, n));
 
   // --- Householder reconstruction ([BDG+15]). ------------------------------
@@ -112,7 +117,7 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions
 
     // R := -S^H R (flip row signs).
     for (la::index_t i = 0; i < n; ++i)
-      for (la::index_t j = i; j < n; ++j) R(i, j) *= -lu.S[static_cast<std::size_t>(i)];
+      for (la::index_t j = i; j < n; ++j) s.R(i, j) *= -lu.S[static_cast<std::size_t>(i)];
 
     // V's top block is L; the rest is W_2 U^{-1}.
     out.V = la::Matrix(mp, n);
@@ -125,11 +130,11 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions
       comm.charge_flops(la::flops::trsm(n, mp - n));
     }
     out.T = std::move(Tk);
-    out.R = std::move(R);
+    out.R = std::move(s.R);
     u_flat = la::to_vector(lu.U.view());
   }
 
-  coll::broadcast(comm, 0, u_flat, opts.u_bcast_alg);
+  coll::broadcast(comm, 0, u_flat, coll::Alg::Binomial);
   if (me != 0) {
     la::Matrix U = la::from_vector(n, n, u_flat);
     out.V = std::move(W);
@@ -139,5 +144,7 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions
   }
   return out;
 }
+
+}  // namespace detail
 
 }  // namespace qr3d::core

@@ -8,33 +8,21 @@
 #include <vector>
 
 #include "coll/coll.hpp"
+#include "core/tsqr.hpp"
 #include "fault/plan.hpp"
-#include "la/blas.hpp"
 #include "la/error.hpp"
 #include "la/flops.hpp"
 #include "la/householder.hpp"
-#include "la/lu.hpp"
 #include "la/packing.hpp"
-#include "la/qr_eg_serial.hpp"
-#include "la/triangular.hpp"
 
 namespace qr3d::fault {
 
 namespace {
 
 constexpr int kTagUpsweep = 8111;
-constexpr int kTagDownsweep = 8112;
 constexpr int kTagStatus = 8113;
 constexpr int kTagRecover = 8114;
 constexpr int kTagFinal = 8115;
-
-/// One stored internal node of this rank's path through the reduction tree
-/// (same shape as core::tsqr's — kept only for the clean downsweep).
-struct TreeNode {
-  int partner;
-  la::Matrix V;
-  la::Matrix T;
-};
 
 /// Checksum weight of rank p in checksum j: x_p^j with x_p the p-th
 /// Chebyshev point of the P-point grid on [-1, 1].  Distinct nodes make
@@ -92,32 +80,16 @@ CodedTsqrResult coded_tsqr(backend::Comm& comm, la::ConstMatrixView A_local,
                            CodedTsqrOptions opts) {
   const int P = comm.size();
   const int me = comm.rank();
-  const la::index_t mp = A_local.rows();
   const la::index_t n = A_local.cols();
-  QR3D_CHECK(mp >= n, "coded_tsqr: every rank needs at least n rows (m/n >= P)");
   QR3D_CHECK(opts.f >= 1 && opts.f <= P, "coded_tsqr: f must be in [1, P]");
   const int keeper = P - 1;  // checksum home, off the tree root
   const std::size_t L = static_cast<std::size_t>(la::packed_upper_size(n));
   const int f = opts.f;
 
-  // --- Local QR (identical kernel choice to core::tsqr). -------------------
-  la::Matrix V0, T0, R;
-  if (opts.tsqr.local_recursive_threshold > 0) {
-    la::QrFactors fac = la::qr_factor_recursive<double>(A_local, opts.tsqr.local_recursive_threshold);
-    V0 = std::move(fac.V);
-    T0 = std::move(fac.T_);
-    R = std::move(fac.R);
-  } else {
-    la::Matrix F = la::copy<double>(A_local);
-    T0 = la::Matrix(n, n);
-    la::geqrt(F.view(), T0.view());
-    V0 = la::extract_v<double>(F.view());
-    R = la::extract_r<double>(F.view());
-  }
-  comm.charge_flops(la::flops::geqrt(mp, n));
+  core::detail::TsqrState s = core::detail::tsqr_leaf(comm, A_local);
 
   // The original local block, kept verbatim for the recovery round.
-  const std::vector<double> packed0 = la::pack_upper(R.view());
+  const std::vector<double> packed0 = la::pack_upper(s.R.view());
 
   // --- Encode: f weighted checksums reduced to the keeper, one message. ----
   std::vector<double> checksums(static_cast<std::size_t>(f) * L);
@@ -130,17 +102,15 @@ CodedTsqrResult coded_tsqr(backend::Comm& comm, la::ConstMatrixView A_local,
 
   // --- Upsweep: plain TSQR combines + one completeness word per message. ---
   bool complete = true;
-  std::vector<TreeNode> nodes;
-  int parent = -1;
   for (int mask = 1; mask < P; mask <<= 1) {
     if ((me & mask) != 0) {
-      parent = me - mask;
+      s.parent = me - mask;
       std::vector<double> payload;
       payload.reserve(1 + L);
       payload.push_back(complete ? 1.0 : 0.0);
-      const std::vector<double> pr = la::pack_upper(R.view());
+      const std::vector<double> pr = la::pack_upper(s.R.view());
       payload.insert(payload.end(), pr.begin(), pr.end());
-      comm.send(parent, std::move(payload), kTagUpsweep);
+      comm.send(s.parent, std::move(payload), kTagUpsweep);
       break;
     }
     if (me + mask < P) {
@@ -154,15 +124,9 @@ CodedTsqrResult coded_tsqr(backend::Comm& comm, la::ConstMatrixView A_local,
         continue;
       }
       if (payload.front() != 1.0) complete = false;
-      la::Matrix Rq = la::unpack_upper(n, std::vector<double>(payload.begin() + 1, payload.end()));
-      la::Matrix stacked(2 * n, n);
-      la::assign<double>(stacked.block(0, 0, n, n), R.view());
-      la::assign<double>(stacked.block(n, 0, n, n), Rq.view());
-      la::Matrix Tl(n, n);
-      la::geqrt(stacked.view(), Tl.view());
-      comm.charge_flops(la::flops::geqrt(2 * n, n));
-      R = la::extract_r<double>(stacked.view());
-      nodes.push_back(TreeNode{me + mask, la::extract_v<double>(stacked.view()), std::move(Tl)});
+      const la::Matrix Rq =
+          la::unpack_upper(n, std::vector<double>(payload.begin() + 1, payload.end()));
+      core::detail::tsqr_combine(comm, s, me + mask, Rq.view());
     }
   }
 
@@ -179,67 +143,9 @@ CodedTsqrResult coded_tsqr(backend::Comm& comm, la::ConstMatrixView A_local,
   }
 
   if (!recovery) {
-    // --- Clean downsweep + Householder reconstruction: verbatim core::tsqr
-    // arithmetic, so the zero-fault result is bitwise identical. -----------
-    la::Matrix B;
-    if (me == 0) {
-      B = la::Matrix::identity(n);
-    } else {
-      B = la::from_vector(n, n, comm.recv(parent, kTagDownsweep));
-    }
-    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-      la::Matrix C(2 * n, n);
-      la::assign<double>(C.block(0, 0, n, n), B.view());
-      la::apply_q<double>(it->V.view(), it->T.view(), la::Op::NoTrans, C.view());
-      comm.charge_flops(la::flops::larfb(2 * n, n, n));
-      B = la::copy<double>(C.block(0, 0, n, n));
-      comm.send(it->partner, la::to_vector(C.block(n, 0, n, n)), kTagDownsweep);
-    }
-
-    la::Matrix W(mp, n);
-    la::assign<double>(W.block(0, 0, n, n), B.view());
-    la::apply_q<double>(V0.view(), T0.view(), la::Op::NoTrans, W.view());
-    comm.charge_flops(la::flops::larfb(mp, n, n));
-
+    // Clean: core::tsqr's own finish, hence the bitwise zero-fault identity.
     CodedTsqrResult out;
-    std::vector<double> u_flat(static_cast<std::size_t>(n * n));
-    if (me == 0) {
-      la::LuSignShift lu = la::lu_sign_shift<double>(la::ConstMatrixView(W.block(0, 0, n, n)));
-      comm.charge_flops(la::flops::lu(n));
-
-      la::Matrix Tk = la::copy<double>(lu.U.view());
-      for (la::index_t j = 0; j < n; ++j)
-        for (la::index_t i = 0; i <= j; ++i) Tk(i, j) *= lu.S[static_cast<std::size_t>(j)];
-      la::trsm(la::Side::Right, la::Uplo::Lower, la::Op::ConjTrans, la::Diag::Unit, 1.0,
-               lu.L.view(), Tk.view());
-      comm.charge_flops(la::flops::trsm(n, n));
-      la::make_triangular(la::Uplo::Upper, Tk.view());
-
-      for (la::index_t i = 0; i < n; ++i)
-        for (la::index_t j = i; j < n; ++j) R(i, j) *= -lu.S[static_cast<std::size_t>(i)];
-
-      out.qr.V = la::Matrix(mp, n);
-      la::assign<double>(out.qr.V.block(0, 0, n, n), lu.L.view());
-      if (mp > n) {
-        la::MatrixView lower = out.qr.V.block(n, 0, mp - n, n);
-        la::assign<double>(lower, W.block(n, 0, mp - n, n));
-        la::trsm(la::Side::Right, la::Uplo::Upper, la::Op::NoTrans, la::Diag::NonUnit, 1.0,
-                 lu.U.view(), lower);
-        comm.charge_flops(la::flops::trsm(n, mp - n));
-      }
-      out.qr.T = std::move(Tk);
-      out.qr.R = std::move(R);
-      u_flat = la::to_vector(lu.U.view());
-    }
-
-    coll::broadcast(comm, 0, u_flat, opts.tsqr.u_bcast_alg);
-    if (me != 0) {
-      la::Matrix U = la::from_vector(n, n, u_flat);
-      out.qr.V = std::move(W);
-      la::trsm(la::Side::Right, la::Uplo::Upper, la::Op::NoTrans, la::Diag::NonUnit, 1.0, U.view(),
-               out.qr.V.view());
-      comm.charge_flops(la::flops::trsm(n, mp));
-    }
+    out.qr = core::detail::tsqr_finish(comm, std::move(s));
     return out;
   }
 

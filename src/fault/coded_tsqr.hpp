@@ -15,14 +15,17 @@
 //
 // with x_p = cos(pi (2p+1) / 2P) the p-th Chebyshev point on [-1, 1].
 //
-// The upsweep then proceeds exactly as in plain TSQR — byte-identical
-// arithmetic — except each message carries one extra completeness word, and
-// a rank whose child died (fault::RankDeath on the upsweep recv) continues
-// with its partial aggregate and clears the flag.  After the upsweep the
-// root direct-sends a one-word status to every rank:
+// The factorization runs three of core::tsqr's four phases (core/tsqr.hpp):
+// tsqr_leaf, tsqr_combine at every tree node, and tsqr_finish.  In place of
+// the fourth, tsqr_upsweep, it runs its own binomial loop: each message
+// carries one extra completeness word, and a rank whose child died
+// (fault::RankDeath on the upsweep recv) continues with its partial
+// aggregate and clears the flag.  After the upsweep the root direct-sends a
+// one-word status to every rank:
 //
-//   * clean    — the normal downsweep + Householder reconstruction runs and
-//                the result is bitwise identical to core::tsqr (V, T, R);
+//   * clean    — tsqr_finish runs the downsweep, the Householder
+//                reconstruction and the U broadcast, so the result is
+//                bitwise identical to core::tsqr (V, T, R) by construction;
 //   * recovery — every surviving rank re-sends its original packed R_p to
 //                the root (the keeper appends the checksums); ranks whose
 //                blocks never arrive (<= f of them, or the run is
@@ -41,7 +44,6 @@
 
 #include "backend/comm.hpp"
 #include "core/qr_result.hpp"
-#include "core/tsqr.hpp"
 #include "la/matrix.hpp"
 
 namespace qr3d::fault {
@@ -60,10 +62,6 @@ struct CodedTsqrOptions {
   /// round-off.  Typical deployments encode the small f they expect to
   /// survive (1-4), where the solve is accurate to machine precision.
   int f = 1;
-  /// Options forwarded to the underlying TSQR (local kernel, U broadcast
-  /// algorithm) — the zero-fault path matches core::tsqr under the same
-  /// options bitwise.
-  core::TsqrOptions tsqr;
 };
 
 struct CodedTsqrResult {

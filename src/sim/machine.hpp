@@ -3,10 +3,11 @@
 //
 // Each simulated processor runs as one OS thread executing the same SPMD
 // body, mirroring MPI semantics: matched send/recv on (source, communicator,
-// tag) with FIFO ordering per triple.  This is the substitution for an MPI
-// cluster documented in DESIGN.md — the paper's claims are statements about
-// the alpha-beta-gamma cost model, which this machine implements exactly and
-// instruments (see sim/clock.hpp).
+// tag) with FIFO ordering per triple.  It stands in for an MPI cluster
+// because the paper's claims are statements about the alpha-beta-gamma cost
+// model, which this machine implements exactly and instruments (see
+// sim/clock.hpp); README.md ("The oracle-testing pattern") explains how it
+// also serves as the oracle for the real thread backend.
 #pragma once
 
 #include <atomic>

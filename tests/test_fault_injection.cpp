@@ -266,34 +266,40 @@ CodedRun run_coded(backend::Machine& machine, const la::Matrix& A, fault::CodedT
 }  // namespace
 
 TEST(CodedTsqr, ZeroFaultMatchesPlainTsqrBitwise) {
+  // Every tree shape up to P = 8, including trees with unpaired ranks, on
+  // both backends.
   const index_t m = 64, n = 8;
-  const int P = 8;
   la::Matrix A = la::random_matrix(m, n, 321);
-  sim::Machine machine(P);
+  for (backend::Kind kind : {backend::Kind::Simulated, backend::Kind::Thread}) {
+    for (int P : {1, 2, 3, 5, 6, 7, 8}) {
+      SCOPED_TRACE(std::string(backend::kind_name(kind)) + " P=" + std::to_string(P));
+      auto machine = backend::make_machine(kind, P);
 
-  std::vector<qr3d::core::DistributedQr> plain(static_cast<std::size_t>(P));
-  machine.run([&](backend::Comm& c) {
-    la::Matrix local = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-    plain[static_cast<std::size_t>(c.rank())] = qr3d::core::tsqr(c, local.view());
-  });
-  const CodedRun coded = run_coded(machine, A, {});
-  ASSERT_FALSE(coded.threw);
+      std::vector<qr3d::core::DistributedQr> plain(static_cast<std::size_t>(P));
+      machine->run([&](backend::Comm& c) {
+        la::Matrix local = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
+        plain[static_cast<std::size_t>(c.rank())] = qr3d::core::tsqr(c, local.view());
+      });
+      const CodedRun coded = run_coded(*machine, A, {});
+      ASSERT_FALSE(coded.threw);
 
-  for (int p = 0; p < P; ++p) {
-    const auto& cr = coded.results[static_cast<std::size_t>(p)];
-    const auto& pr = plain[static_cast<std::size_t>(p)];
-    EXPECT_FALSE(cr.recovered);
-    EXPECT_TRUE(cr.lost.empty());
-    ASSERT_EQ(cr.qr.V.rows(), pr.V.rows());
-    for (index_t i = 0; i < pr.V.rows(); ++i)
-      for (index_t j = 0; j < pr.V.cols(); ++j)
-        EXPECT_EQ(cr.qr.V(i, j), pr.V(i, j)) << "rank " << p;  // bitwise
-    if (p == 0) {
-      for (index_t i = 0; i < n; ++i)
-        for (index_t j = 0; j < n; ++j) {
-          EXPECT_EQ(cr.qr.R(i, j), pr.R(i, j));
-          EXPECT_EQ(cr.qr.T(i, j), pr.T(i, j));
+      for (int p = 0; p < P; ++p) {
+        const auto& cr = coded.results[static_cast<std::size_t>(p)];
+        const auto& pr = plain[static_cast<std::size_t>(p)];
+        EXPECT_FALSE(cr.recovered);
+        EXPECT_TRUE(cr.lost.empty());
+        ASSERT_EQ(cr.qr.V.rows(), pr.V.rows());
+        for (index_t i = 0; i < pr.V.rows(); ++i)
+          for (index_t j = 0; j < pr.V.cols(); ++j)
+            EXPECT_EQ(cr.qr.V(i, j), pr.V(i, j)) << "rank " << p;  // bitwise
+        if (p == 0) {
+          for (index_t i = 0; i < n; ++i)
+            for (index_t j = 0; j < n; ++j) {
+              EXPECT_EQ(cr.qr.R(i, j), pr.R(i, j));
+              EXPECT_EQ(cr.qr.T(i, j), pr.T(i, j));
+            }
         }
+      }
     }
   }
 }
