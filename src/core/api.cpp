@@ -1,5 +1,6 @@
 #include "core/api.hpp"
 
+#include "coll/coll.hpp"
 #include "core/dist_matrix.hpp"
 #include "cost/tuner.hpp"
 #include "la/flops.hpp"
@@ -45,33 +46,48 @@ CyclicQr qr(backend::Comm& comm, la::ConstMatrixView A_local, la::index_t m, la:
 la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
                           la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
                           la::Op op) {
-  const int P = comm.size();
-  const mm::CyclicRows lay_x(m, k, P, 0);
-  const mm::CyclicRows lay_v(m, n, P, 0);
-  const mm::CyclicRows lay_nk(n, k, P, 0);
-  const mm::CyclicRows lay_t(n, n, P, 0);
-  const mm::CyclicCols lay_vh(n, m, P, 0);
-  const mm::CyclicCols lay_th(n, n, P, 0);
-  QR3D_CHECK(X_local.rows() == lay_x.local_rows(comm.rank()) && X_local.cols() == k,
-             "apply_q_cyclic: X layout mismatch");
+  const int me = comm.rank();
+  const la::index_t mp = mm::CyclicRows(m, k, comm.size(), 0).local_rows(me);
+  const mm::CyclicRows lay_t(n, n, comm.size(), 0);
+  const la::index_t tp = lay_t.local_rows(me);
+  QR3D_CHECK(X_local.rows() == mp && X_local.cols() == k, "apply_q_cyclic: X layout mismatch");
+  QR3D_CHECK(V_local.rows() == mp && V_local.cols() == n, "apply_q_cyclic: V layout mismatch");
+  QR3D_CHECK(T_local.rows() == tp && T_local.cols() == n, "apply_q_cyclic: T layout mismatch");
 
-  // M1 = V^H X  (n x k).
-  auto m1 = mm::mm_3d(comm, n, k, m, lay_vh, la::to_vector_rowmajor(V_local.view()), lay_x,
-                      la::to_vector(X_local.view()), lay_nk);
-  // M2 = op(T) M1.
-  std::vector<double> m2;
+  // M1 = V^H X: a local gemm over my rows, then one n x k all-reduce.
+  la::Matrix M1 =
+      la::multiply<double>(la::Op::ConjTrans, V_local.view(), la::Op::NoTrans, X_local.view());
+  comm.charge_flops(la::flops::gemm(n, k, mp));
+  std::vector<double> flat = la::to_vector(M1.view());
+  coll::all_reduce(comm, flat);
+  M1 = la::from_vector(n, k, flat);
+
+  // M2 = op(T) M1 from my rows of T (global rows me, me + P, ...).  NoTrans
+  // yields those rows of M2; ConjTrans yields the sum over those rows of
+  // T(i, :)^H M1(i, :).  Either way my share sits in a zero n x k buffer and
+  // a second all-reduce completes M2 everywhere.
+  la::Matrix M2(n, k);
   if (op == la::Op::NoTrans) {
-    m2 = mm::mm_3d(comm, n, k, n, lay_t, la::to_vector(T_local.view()), lay_nk, m1, lay_nk);
+    la::Matrix mine =
+        la::multiply<double>(la::Op::NoTrans, T_local.view(), la::Op::NoTrans, M1.view());
+    for (la::index_t j = 0; j < k; ++j)
+      for (la::index_t li = 0; li < tp; ++li) M2(lay_t.global_row(me, li), j) = mine(li, j);
   } else {
-    m2 = mm::mm_3d(comm, n, k, n, lay_th, la::to_vector_rowmajor(T_local.view()), lay_nk, m1,
-                   lay_nk);
+    la::Matrix mine(tp, k);
+    for (la::index_t j = 0; j < k; ++j)
+      for (la::index_t li = 0; li < tp; ++li) mine(li, j) = M1(lay_t.global_row(me, li), j);
+    la::gemm(1.0, la::Op::ConjTrans, T_local.view(), la::Op::NoTrans, mine.view(), 0.0,
+             M2.view());
   }
-  // Y = X - V M2.
-  auto vm2 = mm::mm_3d(comm, m, k, n, lay_v, la::to_vector(V_local.view()), lay_nk, m2, lay_x);
-  la::Matrix Y = mm::unpack_rows(lay_x, comm.rank(), vm2);
-  la::scale(-1.0, Y.view());
-  la::add(1.0, la::ConstMatrixView(X_local.view()), Y.view());
-  comm.charge_flops(la::flops::add(X_local.rows(), k));
+  comm.charge_flops(la::flops::gemm(tp, k, n));
+  flat = la::to_vector(M2.view());
+  coll::all_reduce(comm, flat);
+  M2 = la::from_vector(n, k, flat);
+
+  // Y = X - V M2, local.
+  la::Matrix Y = la::copy<double>(X_local.view());
+  la::gemm(-1.0, la::Op::NoTrans, V_local.view(), la::Op::NoTrans, M2.view(), 1.0, Y.view());
+  comm.charge_flops(la::flops::gemm(mp, k, n));
   return Y;
 }
 

@@ -9,7 +9,8 @@
 //                          aspect-ratio dispatch (resolve_algorithm) and
 //                          optional machine tuning.
 //   * apply_q_cyclic     — apply Q or Q^H to a row-cyclic block of vectors
-//                          using the 3D multiplication machinery.
+//                          with Lemma 3's 1D products: local gemms plus two
+//                          n x k all-reduces, so the m x n basis never moves.
 //   * gather_to_root     — thin wrapper over DistMatrix::gather.
 //   * rebuild_kernel_cyclic — the Section 2.3 "T need not be stored" rebuild.
 #pragma once
@@ -70,6 +71,14 @@ CyclicQr qr(backend::Comm& comm, la::ConstMatrixView A_local, la::index_t m, la:
 /// the row-cyclic Householder factors (V_local, T_local) of an m x n matrix
 /// and X is a row-cyclic m x k block.  Collective; returns this rank's rows
 /// of the result.
+///
+/// Runs 1D-CAQR-EG's update (Section 6.2, lines 6-8) with Lemma 3's 1D
+/// products, T kept row-cyclic instead of on a root: M1 = V^H X is a local
+/// gemm plus an n x k all-reduce, M2 = op(T) M1 a gemm over this rank's rows
+/// of T plus a second n x k all-reduce, and X - V M2 a local gemm.  The words
+/// moved do not grow with m, and V never moves.  Lemma 4's 3D product would
+/// move fewer words only once k nears n at large P; a least-squares solve of
+/// one right-hand side has k = 1.
 la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
                           la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
                           la::Op op);

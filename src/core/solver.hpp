@@ -127,9 +127,12 @@ class Factorization {
   /// The n x n upper-triangular R factor, row-cyclic.
   const DistMatrix& r() const { return r_; }
 
-  /// Q * X (NoTrans) or Q^H * X (ConjTrans) via the same 3D multiplication
-  /// machinery as the factorization.  Collective; X must be m x k CyclicRows
-  /// on the same communicator (BlockRows inputs are redistributed first).
+  /// Q * X (NoTrans) or Q^H * X (ConjTrans) with Lemma 3's 1D products
+  /// (core::apply_q_cyclic): local gemms against this rank's rows of V and T
+  /// plus two n x k all-reduces, so the m x n basis never moves.  Lemma 4's
+  /// 3D product would move fewer words only once k nears n at large P.
+  /// Collective; X must be m x k CyclicRows on the same communicator
+  /// (BlockRows inputs are redistributed first).
   DistMatrix apply_q(const DistMatrix& X, la::Op op = la::Op::NoTrans) const;
 
   /// First n columns of Q, materialized as an m x n CyclicRows matrix.

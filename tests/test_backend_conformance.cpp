@@ -468,6 +468,8 @@ TEST(BackendConformance, SolverFacadeAndLeastSquares) {
   const int P = 4;
   la::Matrix A = la::random_matrix(m, n, 908);
   la::Matrix B = la::random_matrix(m, k, 909);
+  la::Matrix X1 = la::random_matrix(m, 1, 910);
+  la::Matrix Xn = la::random_matrix(m, n, 911);
   expect_conformant(P, [&](backend::Comm& c) {
     qr3d::DistMatrix Ad = qr3d::DistMatrix::from_global(c, A.view(), qr3d::Dist::CyclicRows);
     qr3d::DistMatrix Bd = qr3d::DistMatrix::from_global(c, B.view(), qr3d::Dist::CyclicRows);
@@ -477,6 +479,10 @@ TEST(BackendConformance, SolverFacadeAndLeastSquares) {
     put(out, f.r().local());
     put(out, f.v().local());
     if (c.rank() == 0) put(out, x);  // replicated; compare once
+    // apply_q at one column and at k = n, in both directions, and explicit_q.
+    put(out, f.apply_q(qr3d::DistMatrix::from_global(c, X1.view()), la::Op::NoTrans).local());
+    put(out, f.apply_q(qr3d::DistMatrix::from_global(c, Xn.view()), la::Op::ConjTrans).local());
+    put(out, f.explicit_q().local());
     return out;
   });
 }

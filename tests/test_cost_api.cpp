@@ -140,7 +140,8 @@ class ApiCase : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 TEST_P(ApiCase, QrAndApplyQRoundTrip) {
   auto [m, n, P] = GetParam();
   la::Matrix A = la::random_matrix(m, n, 7000 + m + n);
-  la::Matrix X = la::random_matrix(m, 3, 7100 + m);
+  const std::vector<la::Matrix> Xs = {la::random_matrix(m, 3, 7100 + m),
+                                      la::random_matrix(m, 1, 7200 + m)};
 
   sim::Machine machine(P);
   machine.run([&](backend::Comm& c) {
@@ -157,18 +158,25 @@ TEST_P(ApiCase, QrAndApplyQRoundTrip) {
       EXPECT_LT(la::frobenius_norm(R0.block(n, 0, m - n, n)), 1e-9);
     }
 
-    // Q Q^H x == x.
-    la::Matrix Xl = cyclic_local(c, X);
-    la::Matrix Y = core::apply_q_cyclic(c, f, m, n, Xl, 3, la::Op::ConjTrans);
-    la::Matrix Z = core::apply_q_cyclic(c, f, m, n, Y, 3, la::Op::NoTrans);
-    EXPECT_LT(la::diff_norm(Z.view(), Xl.view()), 1e-10 * (1.0 + la::frobenius_norm(Xl.view())));
+    // Q Q^H X == X, for a block and for one column.
+    for (const la::Matrix& X : Xs) {
+      la::Matrix Xl = cyclic_local(c, X);
+      la::Matrix Y = core::apply_q_cyclic(c, f, m, n, Xl, X.cols(), la::Op::ConjTrans);
+      la::Matrix Z = core::apply_q_cyclic(c, f, m, n, Y, X.cols(), la::Op::NoTrans);
+      EXPECT_LT(la::diff_norm(Z.view(), Xl.view()),
+                1e-10 * (1.0 + la::frobenius_norm(Xl.view())))
+          << "k = " << X.cols();
+    }
   });
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ApiCase,
                          ::testing::Values(std::tuple{48, 8, 4},   // tall: base-case path
                                            std::tuple{24, 12, 6},  // square-ish: recursion
-                                           std::tuple{32, 32, 4}, std::tuple{40, 10, 1}));
+                                           std::tuple{32, 32, 4}, std::tuple{40, 10, 1},
+                                           std::tuple{30, 7, 4},   // P does not divide n
+                                           std::tuple{36, 10, 4},  // ... on the 3D path
+                                           std::tuple{20, 4, 8})); // P > n: ranks own no T row
 
 TEST(Api, ForcedAlgorithmsAgreeOnR) {
   const index_t m = 36, n = 12;

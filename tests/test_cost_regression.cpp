@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "backend/comm.hpp"
@@ -436,6 +437,48 @@ TEST(CostRegression, CholeskyQr2ModelTermsAndSpeedupArePinned) {
   const sim::CostParams def{};
   EXPECT_GE(qr3d::cost::tsqr(mm, nn, P).time(def),
             1.5 * qr3d::cost::cholesky_qr2(mm, nn, P).time(def));
+}
+
+// --- The least-squares solve. --------------------------------------------------
+
+// Factorization::solve_least_squares forms Q^H b through core::apply_q_cyclic,
+// whose 1D products move two n x k all-reduces and never the m x n basis.
+// Pin the critical-path messages and words of factor + solve at the serving
+// and factor_square shapes, and of explicit_q (Q applied to n columns) at
+// 1024 x 512.  The counts do not depend on the matrix entries.
+TEST(CostRegression, LeastSquaresSolveCountsArePinned) {
+  using qr3d::la::index_t;
+  enum class Run { Solve, ExplicitQ };
+  const auto counts = [](index_t m, index_t n, int ranks, Run run) {
+    la::Matrix A = la::random_matrix(m, n, 31);
+    la::Matrix b = la::random_matrix(m, 1, 32);
+    sim::Machine machine(ranks);
+    machine.run([&](backend::Comm& c) {
+      qr3d::Factorization f = qr3d::Solver().factor(qr3d::DistMatrix::from_global(c, A.view()));
+      if (run == Run::Solve) {
+        (void)f.solve_least_squares(qr3d::DistMatrix::from_global(c, b.view()));
+      } else {
+        (void)f.explicit_q();
+      }
+    });
+    return machine.critical_path();
+  };
+  struct Case {
+    index_t m, n;
+    int ranks;
+    Run run;
+    double msgs, words;
+  };
+  for (const Case& w : {Case{8192, 64, 4, Run::Solve, 90, 70910},
+                        Case{1024, 512, 4, Run::Solve, 291, 4408218},
+                        Case{256, 24, 2, Run::Solve, 33, 5930},
+                        Case{1024, 512, 4, Run::ExplicitQ, 271, 8165328}}) {
+    SCOPED_TRACE(std::to_string(w.m) + "x" + std::to_string(w.n) + " P=" +
+                 std::to_string(w.ranks) + (w.run == Run::Solve ? " solve" : " explicit_q"));
+    const sim::CostClock cp = counts(w.m, w.n, w.ranks, w.run);
+    EXPECT_DOUBLE_EQ(cp.msgs, w.msgs);
+    EXPECT_DOUBLE_EQ(cp.words, w.words);
+  }
 }
 
 // --- Adaptive group sizing. ---------------------------------------------------

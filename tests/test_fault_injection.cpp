@@ -515,35 +515,82 @@ TEST(SelfHealingServe, SingleKillRequeuesAndCompletesAllJobs_Thread) {
   EXPECT_GE(st.recovered, 1u);
 }
 
+namespace {
+
+/// The kill and stall sweeps' four 40 x 8 jobs.
+std::vector<Planted> sweep_problems() {
+  std::vector<Planted> problems;
+  for (int j = 0; j < 4; ++j)
+    problems.push_back(planted_problem(40, 8, 900 + 2 * static_cast<std::uint64_t>(j)));
+  return problems;
+}
+
+/// Each rank's send + recv count in the first machine session of a clean,
+/// traced run of `problems` under `opts`.  A rank's fault-step counter
+/// restarts at every session (fault/plan.hpp), so a scripted step above its
+/// rank's count here would never fire.
+std::vector<std::uint64_t> first_session_ops(serve::ServeOptions opts,
+                                             const std::vector<Planted>& problems) {
+  using Kind = qr3d::obs::TraceEvent::Kind;
+  auto trace = std::make_shared<qr3d::obs::TraceBuffer>();
+  opts.with_trace(trace);
+  serve::BatchSolver srv(opts);
+  for (const auto& p : problems) srv.submit(p.A, p.b);
+  srv.flush();
+  std::vector<std::uint64_t> ops(static_cast<std::size_t>(opts.ranks()), 0);
+  // The "session" span is recorded once its session has ended, so in arrival
+  // order it closes the first session's comm ops.
+  for (const auto& e : trace->events()) {
+    if (e.kind == Kind::Span && e.name == "session") break;
+    if (e.track == 0 && (e.kind == Kind::Send || e.kind == Kind::Recv))
+      ++ops[static_cast<std::size_t>(e.rank)];
+  }
+  return ops;
+}
+
+/// The sweeps' five step classes over a rank's `ops` first-session comm ops:
+/// its first op, then an eighth, a quarter, half and three quarters of the
+/// way in.  None is a rank's last few ops: a non-root rank's last ops only
+/// receive the replicated solution, so a kill there costs no job.
+std::vector<std::uint64_t> step_classes(std::uint64_t ops) {
+  return {1, ops / 8, ops / 4, ops / 2, 3 * ops / 4};
+}
+
+}  // namespace
+
 TEST(SelfHealingServe, DeterministicFaultSweepCompletesEveryJob) {
   // The sweep the CI smoke pins: kill each rank at each step class on the
   // sim backend; whatever the timing, the BatchSolver must complete 100% of
-  // the jobs (recovered or first-try — never failed, never hung).
+  // the jobs (recovered or first-try — never failed, never hung), and every
+  // scripted kill must land.
   const int P = 4;
+  serve::ServeOptions opts;
+  opts.with_ranks(P).with_group_ranks(2).with_qr(
+      qr3d::QrOptions().with_tune_for_machine().with_backend(qr3d::Backend::Simulated));
+  const std::vector<Planted> problems = sweep_problems();
+  const std::vector<std::uint64_t> ops = first_session_ops(opts, problems);
   for (int victim = 0; victim < P; ++victim) {
-    for (std::uint64_t step : {1u, 5u, 9u, 17u, 33u}) {
-      serve::ServeOptions opts;
-      opts.with_ranks(P).with_group_ranks(2).with_qr(
-          qr3d::QrOptions().with_tune_for_machine().with_backend(qr3d::Backend::Simulated));
+    const std::uint64_t victim_ops = ops[static_cast<std::size_t>(victim)];
+    ASSERT_GE(victim_ops, 16u) << "victim " << victim << ": too few ops for distinct classes";
+    for (std::uint64_t step : step_classes(victim_ops)) {
+      SCOPED_TRACE("victim=" + std::to_string(victim) + " step=" + std::to_string(step) + "/" +
+                   std::to_string(victim_ops));
       serve::BatchSolver srv(opts);
       srv.machine().set_fault_plan(fault::Plan::kill(victim, step));
 
-      std::vector<Planted> problems;
       std::vector<serve::JobHandle> handles;
-      for (int j = 0; j < 4; ++j) {
-        problems.push_back(planted_problem(40, 8, 900 + 2 * static_cast<std::uint64_t>(j)));
-        handles.push_back(srv.submit(problems.back().A, problems.back().b));
-      }
+      for (const auto& p : problems) handles.push_back(srv.submit(p.A, p.b));
       srv.flush();
       for (int j = 0; j < 4; ++j) {
         EXPECT_LT(solution_error(handles[static_cast<std::size_t>(j)].get(),
                                  problems[static_cast<std::size_t>(j)].x_true),
                   1e-10)
-            << "victim " << victim << " step " << step << " job " << j;
+            << "job " << j;
       }
       const auto st = srv.stats();
-      EXPECT_EQ(st.jobs_completed, 4u) << "victim " << victim << " step " << step;
-      EXPECT_EQ(st.jobs_failed, 0u) << "victim " << victim << " step " << step;
+      EXPECT_EQ(st.jobs_completed, 4u);
+      EXPECT_EQ(st.jobs_failed, 0u);
+      EXPECT_GE(st.requeues_rank_death, 1u) << "the scripted kill did not land";
     }
   }
 }
@@ -686,20 +733,23 @@ TEST(FaultPlan, RandomFaultsPreserveTheKillDraw) {
 TEST(SelfHealingServe, StallSweepCompletesEveryJob) {
   // The stall-side counterpart of DeterministicFaultSweepCompletesEveryJob
   // (the CI smoke runs both): stall each rank at each step class; with the
-  // watchdog armed the BatchSolver must complete 100% of the jobs.
+  // watchdog armed the BatchSolver must complete 100% of the jobs, and every
+  // scripted stall must end in a session timeout.
   const int P = 4;
+  const std::vector<Planted> problems = sweep_problems();
+  const std::vector<std::uint64_t> ops =
+      first_session_ops(chaos_opts(qr3d::Backend::Simulated), problems);
   for (int victim = 0; victim < P; ++victim) {
-    for (std::uint64_t step : {1u, 5u, 9u, 17u, 33u}) {
-      SCOPED_TRACE("victim=" + std::to_string(victim) + " step=" + std::to_string(step));
+    const std::uint64_t victim_ops = ops[static_cast<std::size_t>(victim)];
+    ASSERT_GE(victim_ops, 16u) << "victim " << victim << ": too few ops for distinct classes";
+    for (std::uint64_t step : step_classes(victim_ops)) {
+      SCOPED_TRACE("victim=" + std::to_string(victim) + " step=" + std::to_string(step) + "/" +
+                   std::to_string(victim_ops));
       serve::BatchSolver srv(chaos_opts(qr3d::Backend::Simulated));
       srv.machine().set_fault_plan(fault::Plan::stall(victim, step));
 
-      std::vector<Planted> problems;
       std::vector<serve::JobHandle> handles;
-      for (int j = 0; j < 4; ++j) {
-        problems.push_back(planted_problem(40, 8, 900 + 2 * static_cast<std::uint64_t>(j)));
-        handles.push_back(srv.submit(problems.back().A, problems.back().b));
-      }
+      for (const auto& p : problems) handles.push_back(srv.submit(p.A, p.b));
       srv.flush();
       for (int j = 0; j < 4; ++j) {
         EXPECT_LT(solution_error(handles[static_cast<std::size_t>(j)].get(),
@@ -710,7 +760,7 @@ TEST(SelfHealingServe, StallSweepCompletesEveryJob) {
       const auto st = srv.stats();
       EXPECT_EQ(st.jobs_completed, 4u);
       EXPECT_EQ(st.jobs_failed, 0u);
-      EXPECT_GE(st.session_timeouts, 1u);
+      EXPECT_GE(st.session_timeouts, 1u) << "the scripted stall did not land";
     }
   }
 }
