@@ -5,7 +5,9 @@
 // paper's communication-avoiding wins only show up off-simulator when these
 // run at near-BLAS3 speed (cf. arXiv:0809.2407).  The bench doubles as the
 // perf regression gate: `--smoke` exits nonzero unless the blocked gemm
-// beats the reference nest by >= 3x at 256^3 (CI runs this on every push),
+// beats the reference nest by >= 3x at 256^3 and the blocked right-side
+// trsm (TSQR's V = W U^{-1}) beats it by >= 2x at 2048 x 64 (CI runs this
+// on every push),
 // and `--json` emits qr3d-bench/1 records so the GFLOP/s trajectory is
 // machine-readable PR over PR.
 //
@@ -109,6 +111,29 @@ int main(int argc, char** argv) {
     });
   }
 
+  // TSQR's Householder reconstruction V = W U^{-1} (and CholeskyQR2's
+  // Q = A R^{-1}): a right-side upper solve with a narrow triangle.  The
+  // smoke gate's second row.
+  {
+    const la::index_t m = 2048, n = 64;
+    la::Matrix U = la::random_matrix(n, n, 7);
+    la::make_triangular(la::Uplo::Upper, U.view());
+    for (la::index_t i = 0; i < n; ++i) U(i, i) = 4.0 + static_cast<double>(i) * 0.01;
+    la::Matrix W0 = la::random_matrix(m, n, 8);
+    la::Matrix W = la::copy<double>(W0.view());
+    const double fl = static_cast<double>(n) * static_cast<double>(n) * static_cast<double>(m);
+    run("trsm_right", "reference", m, n, 0, fl, [&]() {
+      la::assign<double>(W.view(), W0.view());
+      la::trsm_reference(la::Side::Right, la::Uplo::Upper, la::Op::NoTrans, la::Diag::NonUnit,
+                         1.0, la::ConstMatrixView(U.view()), W.view());
+    });
+    run("trsm_right", "blocked", m, n, 0, fl, [&]() {
+      la::assign<double>(W.view(), W0.view());
+      la::detail::trsm_blocked(la::Side::Right, la::Uplo::Upper, la::Op::NoTrans,
+                               la::Diag::NonUnit, 1.0, la::ConstMatrixView(U.view()), W.view());
+    });
+  }
+
   // geqrt + larfb (apply_q): tall panel factorization, the per-rank unit of
   // every distributed algorithm here.  The kernel mode steers the internal
   // gemm/trmm calls, so flip it per measurement.
@@ -144,22 +169,28 @@ int main(int argc, char** argv) {
            b::num(r.gflops), b::secs(r.seconds)});
   t.print();
 
-  // The smoke gate: blocked gemm >= 3x reference at 256^3.
-  double ref256 = 0.0, blk256 = 0.0;
-  for (const auto& r : records) {
-    if (std::string(r.kernel) == "gemm" && r.m == 256) {
-      if (std::string(r.variant) == "reference") ref256 = r.gflops;
-      if (std::string(r.variant) == "blocked") blk256 = r.gflops;
+  // The smoke gate: blocked gemm >= 3x reference at 256^3, and blocked
+  // right-side trsm >= 2x reference at 2048 x 64.
+  auto blocked_speedup = [&](const char* kernel, la::index_t m) {
+    double ref = 0.0, blk = 0.0;
+    for (const auto& r : records) {
+      if (std::string(r.kernel) != kernel || r.m != m) continue;
+      if (std::string(r.variant) == "reference") ref = r.gflops;
+      if (std::string(r.variant) == "blocked") blk = r.gflops;
     }
-  }
-  const double speedup = ref256 > 0.0 ? blk256 / ref256 : 0.0;
+    return ref > 0.0 ? blk / ref : 0.0;
+  };
+  const double speedup = blocked_speedup("gemm", 256);
+  const double trsm_speedup = blocked_speedup("trsm_right", 2048);
   std::printf("blocked gemm speedup at 256^3: %.2fx (gate: >= 3x)\n", speedup);
+  std::printf("blocked right-side trsm speedup at 2048x64: %.2fx (gate: >= 2x)\n", trsm_speedup);
 
   if (json_path) {
     b::JsonWriter json;
     b::begin_bench_json(json, "local_kernels", "local");
     json.key("reps").value(reps);
     json.key("gemm256_blocked_speedup").value(speedup);
+    json.key("trsm_right_2048x64_blocked_speedup").value(trsm_speedup);
     json.key("rows").begin_array();
     for (const auto& r : records) {
       json.begin_object();
@@ -181,6 +212,12 @@ int main(int argc, char** argv) {
   if (smoke && speedup < 3.0) {
     std::fprintf(stderr, "SMOKE FAIL: blocked gemm %.2fx reference at 256^3 (need >= 3x)\n",
                  speedup);
+    return 1;
+  }
+  if (smoke && trsm_speedup < 2.0) {
+    std::fprintf(stderr,
+                 "SMOKE FAIL: blocked right-side trsm %.2fx reference at 2048x64 (need >= 2x)\n",
+                 trsm_speedup);
     return 1;
   }
   return 0;

@@ -1,7 +1,6 @@
 #include "core/caqr_eg_3d.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "core/caqr_eg_1d.hpp"
 #include "core/params.hpp"
@@ -80,17 +79,35 @@ BaseConversionPlan BaseConversionPlan::make(index_t m, index_t n, int P) {
 
 namespace {
 
-/// Rows of `a` as a map position -> values given the ascending row list.
-la::Matrix select_rows(const la::Matrix& a, const std::vector<index_t>& all_rows,
-                       const std::vector<index_t>& wanted) {
-  std::map<index_t, index_t> pos;
-  for (std::size_t k = 0; k < all_rows.size(); ++k) pos[all_rows[k]] = static_cast<index_t>(k);
-  la::Matrix out(static_cast<index_t>(wanted.size()), a.cols());
-  for (std::size_t k = 0; k < wanted.size(); ++k) {
-    const index_t src = pos.at(wanted[k]);
-    for (index_t j = 0; j < a.cols(); ++j) out(static_cast<index_t>(k), j) = a(src, j);
-  }
+/// Dense position map of an ordered row list: pos[r] is r's index in `rows`,
+/// or -1 when row r is not in it.
+std::vector<index_t> positions(const std::vector<index_t>& rows, index_t m) {
+  std::vector<index_t> pos(static_cast<std::size_t>(m), -1);
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    pos[static_cast<std::size_t>(rows[k])] = static_cast<index_t>(k);
+  return pos;
+}
+
+/// The rows `wanted` of `src`, whose row r sits at src row pos[r], as the
+/// column-major words la::to_vector gives.
+std::vector<double> pick_rows(la::ConstMatrixView src, const std::vector<index_t>& pos,
+                              const std::vector<index_t>& wanted) {
+  std::vector<double> out(wanted.size() * static_cast<std::size_t>(src.cols()));
+  double* dst = out.data();
+  for (index_t j = 0; j < src.cols(); ++j)
+    for (index_t r : wanted) *dst++ = src(pos[static_cast<std::size_t>(r)], j);
   return out;
+}
+
+/// Inverse of pick_rows: row k of the column-major |rows| x dst.cols() block
+/// `words` goes to dst row pos[rows[k]].
+void put_rows(la::MatrixView dst, const std::vector<index_t>& pos, const std::vector<index_t>& rows,
+              const std::vector<double>& words) {
+  QR3D_ASSERT(words.size() == rows.size() * static_cast<std::size_t>(dst.cols()),
+              "base_case: misrouted rows");
+  const double* src = words.data();
+  for (index_t j = 0; j < dst.cols(); ++j)
+    for (index_t r : rows) dst(pos[static_cast<std::size_t>(r)], j) = *src++;
 }
 
 /// Scatter an n x cols matrix from rcomm rank 0 into CyclicRows(n, cols, P, 0)
@@ -106,18 +123,20 @@ la::Matrix scatter_cyclic(backend::Comm& rcomm, const la::Matrix& full_on_root, 
   if (rcomm.rank() == 0) {
     blocks.resize(static_cast<std::size_t>(P));
     for (int q = 0; q < P; ++q) {
-      const index_t nloc = layout.local_rows(q);
-      la::Matrix b(nloc, cols);
-      for (index_t li = 0; li < nloc; ++li)
-        for (index_t j = 0; j < cols; ++j) b(li, j) = full_on_root(layout.global_row(q, li), j);
-      blocks[static_cast<std::size_t>(q)] = la::to_vector(b.view());
+      auto& b = blocks[static_cast<std::size_t>(q)];
+      b.reserve(counts[static_cast<std::size_t>(q)]);
+      for (index_t j = 0; j < cols; ++j)
+        for (index_t li = 0; li < layout.local_rows(q); ++li)
+          b.push_back(full_on_root(layout.global_row(q, li), j));
     }
   }
   auto mine = coll::scatter(rcomm, 0, blocks, counts);
-  return la::from_vector(mm::CyclicRows(n, cols, P, 0).local_rows(rcomm.rank()), cols, mine);
+  return la::from_vector(layout.local_rows(rcomm.rank()), cols, mine);
 }
 
-/// Base case (Section 7.1): layout conversion + 1D-CAQR-EG + reversal.
+/// Base case (Section 7.1): layout conversion + 1D-CAQR-EG + reversal.  The
+/// conversion only moves rows: which rows go where, and in what order, is
+/// BaseConversionPlan's, and every copy streams columns.
 CyclicQr base_case(backend::Comm& comm, la::ConstMatrixView A_local, index_t m, index_t n, int shift,
                    index_t bstar) {
   const int P = comm.size();
@@ -131,97 +150,87 @@ CyclicQr base_case(backend::Comm& comm, la::ConstMatrixView A_local, index_t m, 
   const mm::CyclicRows cyc(m, n, P, 0);  // layout w.r.t. relative ranks
 
   // --- Phase 1: gather rows within each group to its representative. -------
+  // Member i of group g is relative rank g + i P*, and its local row l is
+  // global row g + i P* + l P.  Every P consecutive rows hold one row of each
+  // member, in member order, so that row sits at l G + i of the group's
+  // ascending list (G = group size).  A one-member group (G = 1, every group
+  // when P* = P) already holds its rows in that order and moves nothing.
   const bool owns_rows = rr < plan.Pprime;
   const int g = owns_rows ? rr % plan.Pstar : -1;
   backend::Comm gcomm = rcomm.split(g, rr);
   const bool is_rep = owns_rows && rr == g;
+  const int G = owns_rows ? gcomm.size() : 0;
+  std::vector<std::size_t> member_counts(static_cast<std::size_t>(G));
+  for (int i = 0; i < G; ++i)
+    member_counts[static_cast<std::size_t>(i)] =
+        static_cast<std::size_t>(cyc.local_count(g + i * plan.Pstar));
 
-  la::Matrix grouped;  // representative's rows, ordered by plan.group_rows[g]
-  if (owns_rows) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(gcomm.size()));
-    for (int i = 0; i < gcomm.size(); ++i)
-      counts[static_cast<std::size_t>(i)] =
-          static_cast<std::size_t>(cyc.local_count(g + i * plan.Pstar));
-    auto blocks = coll::gather(gcomm, 0, la::to_vector(A_local), counts);
+  la::Matrix gathered_rows;
+  la::ConstMatrixView grouped = A_local;  // rep's rows, ordered by plan.group_rows[g]
+  if (G > 1) {
+    auto blocks = coll::gather(gcomm, 0, la::to_vector(A_local), member_counts);
     if (is_rep) {
-      const auto& rows = plan.group_rows[static_cast<std::size_t>(g)];
-      std::map<index_t, index_t> pos;
-      for (std::size_t k = 0; k < rows.size(); ++k) pos[rows[k]] = static_cast<index_t>(k);
-      grouped = la::Matrix(static_cast<index_t>(rows.size()), n);
-      for (int i = 0; i < gcomm.size(); ++i) {
-        const int member = g + i * plan.Pstar;
-        const index_t nloc = cyc.local_rows(member);
-        la::Matrix b = la::from_vector(nloc, n, blocks[static_cast<std::size_t>(i)]);
-        for (index_t li = 0; li < nloc; ++li) {
-          const index_t dst = pos.at(cyc.global_row(member, li));
-          for (index_t j = 0; j < n; ++j) grouped(dst, j) = b(li, j);
-        }
+      const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
+      gathered_rows = la::Matrix(static_cast<index_t>(rows_g.size()), n);
+      for (int i = 0; i < G; ++i) {
+        const double* b = blocks[static_cast<std::size_t>(i)].data();
+        const index_t nloc = cyc.local_rows(g + i * plan.Pstar);
+        for (index_t j = 0; j < n; ++j)
+          for (index_t l = 0; l < nloc; ++l) gathered_rows(l * G + i, j) = *b++;
       }
+      grouped = gathered_rows.view();
     }
   }
 
   // --- Phase 2: move the top n rows to rep 0, rebalancing with a scatter. --
+  // When P* = P this exchange is the whole conversion: rep g > 0 swaps its
+  // rows below n for as many of rep 0's rows.
   backend::Comm repcomm = rcomm.split(is_rep ? 0 : -1, rr);
   std::vector<std::size_t> top_counts(static_cast<std::size_t>(plan.Pstar));
-  for (int h = 0; h < plan.Pstar; ++h)
+  std::vector<std::size_t> given_counts(static_cast<std::size_t>(plan.Pstar));
+  for (int h = 0; h < plan.Pstar; ++h) {
     top_counts[static_cast<std::size_t>(h)] =
         plan.top_rows[static_cast<std::size_t>(h)].size() * static_cast<std::size_t>(n);
+    given_counts[static_cast<std::size_t>(h)] =
+        plan.given_rows[static_cast<std::size_t>(h)].size() * static_cast<std::size_t>(n);
+  }
 
-  la::Matrix converted;  // rows ordered by plan.final_rows[g]
+  std::vector<index_t> group_pos, final_pos;  // positions() of group_rows[g], final_rows[g]
+  std::vector<index_t> kept;  // kept[k]: final position of group row k, -1 if it moves
+  la::Matrix converted;       // rows ordered by plan.final_rows[g]
   if (is_rep) {
     const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
-    la::Matrix my_top = select_rows(grouped, rows_g, plan.top_rows[static_cast<std::size_t>(g)]);
-    auto gathered = coll::gather(repcomm, 0, la::to_vector(my_top.view()), top_counts);
+    const auto& fin = plan.final_rows[static_cast<std::size_t>(g)];
+    group_pos = positions(rows_g, m);
+    final_pos = positions(fin, m);
+    auto gathered = coll::gather(
+        repcomm, 0, pick_rows(grouped, group_pos, plan.top_rows[static_cast<std::size_t>(g)]),
+        top_counts);
 
     std::vector<std::vector<double>> give_blocks;
     if (g == 0) {
       give_blocks.resize(static_cast<std::size_t>(plan.Pstar));
       for (int h = 1; h < plan.Pstar; ++h)
-        give_blocks[static_cast<std::size_t>(h)] = la::to_vector(
-            select_rows(grouped, rows_g, plan.given_rows[static_cast<std::size_t>(h)]).view());
+        give_blocks[static_cast<std::size_t>(h)] =
+            pick_rows(grouped, group_pos, plan.given_rows[static_cast<std::size_t>(h)]);
     }
     auto received = coll::scatter(repcomm, 0, give_blocks, top_counts);
 
-    // Assemble the converted local matrix from: kept rows, plus (rep 0) all
-    // gathered top rows, plus (rep > 0) the rebalancing rows.
-    const auto& fin = plan.final_rows[static_cast<std::size_t>(g)];
-    std::map<index_t, index_t> pos;
-    for (std::size_t k = 0; k < fin.size(); ++k) pos[fin[k]] = static_cast<index_t>(k);
+    // Kept rows, plus (rep 0) all gathered top rows or (rep > 0) the
+    // rebalancing rows.
+    kept.resize(rows_g.size());
+    for (std::size_t k = 0; k < rows_g.size(); ++k)
+      kept[k] = final_pos[static_cast<std::size_t>(rows_g[k])];
     converted = la::Matrix(static_cast<index_t>(fin.size()), n);
-    auto place = [&](index_t global_row, const double* vals) {
-      auto it = pos.find(global_row);
-      QR3D_ASSERT(it != pos.end(), "base_case: misrouted row");
-      for (index_t j = 0; j < n; ++j) converted(it->second, j) = vals[static_cast<std::size_t>(j)];
-    };
-    std::vector<double> rowbuf(static_cast<std::size_t>(n));
-    auto copy_row = [&](const la::Matrix& src, index_t li) {
-      for (index_t j = 0; j < n; ++j) rowbuf[static_cast<std::size_t>(j)] = src(li, j);
-      return rowbuf.data();
-    };
+    for (index_t j = 0; j < n; ++j)
+      for (std::size_t k = 0; k < kept.size(); ++k)
+        if (kept[k] >= 0) converted(kept[k], j) = grouped(static_cast<index_t>(k), j);
     if (g == 0) {
-      // All rows < n (own + gathered), plus own rows >= n not given away.
-      std::vector<bool> given(static_cast<std::size_t>(m), false);
       for (int h = 1; h < plan.Pstar; ++h)
-        for (index_t r : plan.given_rows[static_cast<std::size_t>(h)])
-          given[static_cast<std::size_t>(r)] = true;
-      for (std::size_t k = 0; k < rows_g.size(); ++k)
-        if (!given[static_cast<std::size_t>(rows_g[k])])
-          place(rows_g[k], copy_row(grouped, static_cast<index_t>(k)));
-      for (int h = 1; h < plan.Pstar; ++h) {
-        la::Matrix tops = la::from_vector(
-            static_cast<index_t>(plan.top_rows[static_cast<std::size_t>(h)].size()), n,
-            gathered[static_cast<std::size_t>(h)]);
-        for (std::size_t k = 0; k < plan.top_rows[static_cast<std::size_t>(h)].size(); ++k)
-          place(plan.top_rows[static_cast<std::size_t>(h)][k], copy_row(tops, static_cast<index_t>(k)));
-      }
+        put_rows(converted.view(), final_pos, plan.top_rows[static_cast<std::size_t>(h)],
+                 gathered[static_cast<std::size_t>(h)]);
     } else {
-      for (std::size_t k = 0; k < rows_g.size(); ++k)
-        if (rows_g[k] >= n) place(rows_g[k], copy_row(grouped, static_cast<index_t>(k)));
-      la::Matrix recv_rows = la::from_vector(
-          static_cast<index_t>(plan.given_rows[static_cast<std::size_t>(g)].size()), n, received);
-      for (std::size_t k = 0; k < plan.given_rows[static_cast<std::size_t>(g)].size(); ++k)
-        place(plan.given_rows[static_cast<std::size_t>(g)][k],
-              copy_row(recv_rows, static_cast<index_t>(k)));
+      put_rows(converted.view(), final_pos, plan.given_rows[static_cast<std::size_t>(g)], received);
     }
   }
 
@@ -236,83 +245,51 @@ CyclicQr base_case(backend::Comm& comm, la::ConstMatrixView A_local, index_t m, 
   // --- Reverse phase 2 for V. ----------------------------------------------
   la::Matrix v_grouped;  // V rows ordered by plan.group_rows[g]
   if (is_rep) {
-    const auto& fin = plan.final_rows[static_cast<std::size_t>(g)];
     std::vector<std::vector<double>> back_blocks;
     if (g == 0) {
       back_blocks.resize(static_cast<std::size_t>(plan.Pstar));
       for (int h = 1; h < plan.Pstar; ++h)
-        back_blocks[static_cast<std::size_t>(h)] = la::to_vector(
-            select_rows(r1d.V, fin, plan.top_rows[static_cast<std::size_t>(h)]).view());
+        back_blocks[static_cast<std::size_t>(h)] =
+            pick_rows(r1d.V.view(), final_pos, plan.top_rows[static_cast<std::size_t>(h)]);
     }
     auto top_back = coll::scatter(repcomm, 0, back_blocks, top_counts);
     auto given_back = coll::gather(
         repcomm, 0,
-        la::to_vector(select_rows(r1d.V, fin, plan.given_rows[static_cast<std::size_t>(g)]).view()),
-        [&] {
-          std::vector<std::size_t> counts(static_cast<std::size_t>(plan.Pstar));
-          for (int h = 0; h < plan.Pstar; ++h)
-            counts[static_cast<std::size_t>(h)] =
-                plan.given_rows[static_cast<std::size_t>(h)].size() * static_cast<std::size_t>(n);
-          return counts;
-        }());
+        pick_rows(r1d.V.view(), final_pos, plan.given_rows[static_cast<std::size_t>(g)]),
+        given_counts);
 
-    const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
-    std::map<index_t, index_t> pos;
-    for (std::size_t k = 0; k < rows_g.size(); ++k) pos[rows_g[k]] = static_cast<index_t>(k);
-    v_grouped = la::Matrix(static_cast<index_t>(rows_g.size()), n);
-    auto place = [&](index_t global_row, la::ConstMatrixView src, index_t li) {
-      const index_t dst = pos.at(global_row);
-      for (index_t j = 0; j < n; ++j) v_grouped(dst, j) = src(li, j);
-    };
-    // Rows I kept through phase 2.
-    std::map<index_t, index_t> fpos;
-    for (std::size_t k = 0; k < fin.size(); ++k) fpos[fin[k]] = static_cast<index_t>(k);
-    for (index_t r : rows_g) {
-      // Rows that left this rep in phase 2 are absent from `fin`; they come
-      // back via the reversal messages below.
-      auto it = fpos.find(r);
-      if (it != fpos.end()) place(r, r1d.V.view(), it->second);
-    }
+    v_grouped = la::Matrix(static_cast<index_t>(kept.size()), n);
+    for (index_t j = 0; j < n; ++j)
+      for (std::size_t k = 0; k < kept.size(); ++k)
+        if (kept[k] >= 0) v_grouped(static_cast<index_t>(k), j) = r1d.V(kept[k], j);
     if (g == 0) {
       // Rows given away in phase 2 come back via the gather.
-      for (int h = 1; h < plan.Pstar; ++h) {
-        la::Matrix back = la::from_vector(
-            static_cast<index_t>(plan.given_rows[static_cast<std::size_t>(h)].size()), n,
-            given_back[static_cast<std::size_t>(h)]);
-        for (std::size_t k = 0; k < plan.given_rows[static_cast<std::size_t>(h)].size(); ++k)
-          place(plan.given_rows[static_cast<std::size_t>(h)][k], back.view(),
-                static_cast<index_t>(k));
-      }
+      for (int h = 1; h < plan.Pstar; ++h)
+        put_rows(v_grouped.view(), group_pos, plan.given_rows[static_cast<std::size_t>(h)],
+                 given_back[static_cast<std::size_t>(h)]);
     } else {
-      la::Matrix back = la::from_vector(
-          static_cast<index_t>(plan.top_rows[static_cast<std::size_t>(g)].size()), n, top_back);
-      for (std::size_t k = 0; k < plan.top_rows[static_cast<std::size_t>(g)].size(); ++k)
-        place(plan.top_rows[static_cast<std::size_t>(g)][k], back.view(), static_cast<index_t>(k));
+      put_rows(v_grouped.view(), group_pos, plan.top_rows[static_cast<std::size_t>(g)], top_back);
     }
   }
 
   // --- Reverse phase 1: scatter V rows back to the group members. ----------
   CyclicQr out;
-  if (owns_rows) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(gcomm.size()));
-    for (int i = 0; i < gcomm.size(); ++i)
-      counts[static_cast<std::size_t>(i)] =
-          static_cast<std::size_t>(cyc.local_count(g + i * plan.Pstar));
+  if (G > 1) {
     std::vector<std::vector<double>> blocks;
     if (is_rep) {
-      const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
-      blocks.resize(static_cast<std::size_t>(gcomm.size()));
-      for (int i = 0; i < gcomm.size(); ++i) {
-        const int member = g + i * plan.Pstar;
-        std::vector<index_t> member_rows;
-        for (index_t li = 0; li < cyc.local_rows(member); ++li)
-          member_rows.push_back(cyc.global_row(member, li));
-        blocks[static_cast<std::size_t>(i)] =
-            la::to_vector(select_rows(v_grouped, rows_g, member_rows).view());
+      blocks.resize(static_cast<std::size_t>(G));
+      for (int i = 0; i < G; ++i) {
+        auto& b = blocks[static_cast<std::size_t>(i)];
+        const index_t nloc = cyc.local_rows(g + i * plan.Pstar);
+        b.reserve(member_counts[static_cast<std::size_t>(i)]);
+        for (index_t j = 0; j < n; ++j)
+          for (index_t l = 0; l < nloc; ++l) b.push_back(v_grouped(l * G + i, j));
       }
     }
-    auto mine = coll::scatter(gcomm, 0, blocks, counts);
+    auto mine = coll::scatter(gcomm, 0, blocks, member_counts);
     out.V = la::from_vector(cyc.local_rows(rr), n, mine);
+  } else if (G == 1) {
+    out.V = std::move(v_grouped);
   } else {
     out.V = la::Matrix(0, n);
   }

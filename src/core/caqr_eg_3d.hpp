@@ -16,7 +16,12 @@
 // Base case (Section 7.1): convert row-cyclic to a block-ish layout over
 // P* = min(P, floor(m/n)) representative ranks via grouped gathers, move the
 // top n rows to representative 0 (gather + load-rebalancing scatter), run
-// 1D-CAQR-EG with threshold b*, then reverse the conversion.
+// 1D-CAQR-EG with threshold b*, then reverse the conversion.  The conversion
+// is a pure row permutation (BaseConversionPlan fixes it), computed from
+// dense position vectors and copied column by column.  When P* = P (every
+// tall served shape: m/n >= P) each group is one rank, nothing is gathered,
+// and the conversion is a swap of the top n rows: representative g > 0
+// trades its rows below n for as many of representative 0's rows.
 #pragma once
 
 #include "coll/coll.hpp"

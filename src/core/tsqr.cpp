@@ -100,12 +100,19 @@ DistributedQr tsqr_finish(backend::Comm& comm, TsqrState&& s) {
   comm.charge_flops(la::flops::larfb(mp, n, n));
 
   // --- Householder reconstruction ([BDG+15]). ------------------------------
-  DistributedQr out;
+  // The root broadcasts U as soon as the LU is done; its own T solve, sign
+  // flip and V solve then overlap every other rank's V solve.
   std::vector<double> u_flat(static_cast<std::size_t>(n * n));
+  la::LuSignShift lu;
   if (me == 0) {
-    la::LuSignShift lu = la::lu_sign_shift<double>(la::ConstMatrixView(W.block(0, 0, n, n)));
+    lu = la::lu_sign_shift<double>(la::ConstMatrixView(W.block(0, 0, n, n)));
     comm.charge_flops(la::flops::lu(n));
+    u_flat = la::to_vector(lu.U.view());
+  }
+  coll::broadcast(comm, 0, u_flat, coll::Alg::Binomial);
 
+  DistributedQr out;
+  if (me == 0) {
     // T = U S^H L^{-H}: scale U's columns by conj(S), then solve X L^H = US^H.
     la::Matrix Tk = la::copy<double>(lu.U.view());
     for (la::index_t j = 0; j < n; ++j)
@@ -131,11 +138,7 @@ DistributedQr tsqr_finish(backend::Comm& comm, TsqrState&& s) {
     }
     out.T = std::move(Tk);
     out.R = std::move(s.R);
-    u_flat = la::to_vector(lu.U.view());
-  }
-
-  coll::broadcast(comm, 0, u_flat, coll::Alg::Binomial);
-  if (me != 0) {
+  } else {
     la::Matrix U = la::from_vector(n, n, u_flat);
     out.V = std::move(W);
     la::trsm(la::Side::Right, la::Uplo::Upper, la::Op::NoTrans, la::Diag::NonUnit, 1.0, U.view(),

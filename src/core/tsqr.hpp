@@ -15,11 +15,12 @@
 //                  (tsqr_combine);
 //   3. finish    — (tsqr_finish) the downsweep applies the stored tree
 //                  Q-factors to identity columns, recovering W = explicit
-//                  leading n columns of the tree Q; the reconstruction on
-//                  the root takes the sign-shifted LU X + S = L U of W's top
-//                  block to V = [L; W_2 U^{-1}], T = U S^H L^{-H},
-//                  R := -S^H R ([BDG+15] Lemma 6.2); U is broadcast so every
-//                  rank finishes its rows of V locally.
+//                  leading n columns of the tree Q; the root takes the
+//                  sign-shifted LU X + S = L U of W's top block and
+//                  broadcasts U right after it, so every rank's V solve
+//                  W U^{-1} runs while the root finishes the rest of the
+//                  reconstruction: V = [L; W_2 U^{-1}], T = U S^H L^{-H},
+//                  R := -S^H R ([BDG+15] Lemma 6.2).
 //
 // The U broadcast uses the binomial tree, as the paper does.  The upsweep
 // and downsweep trees are inherently binomial because their block contents

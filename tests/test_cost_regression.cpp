@@ -443,17 +443,29 @@ TEST(CostRegression, CholeskyQr2ModelTermsAndSpeedupArePinned) {
 
 // Factorization::solve_least_squares forms Q^H b through core::apply_q_cyclic,
 // whose 1D products move two n x k all-reduces and never the m x n basis.
-// Pin the critical-path messages and words of factor + solve at the serving
-// and factor_square shapes, and of explicit_q (Q applied to n columns) at
-// 1024 x 512.  The counts do not depend on the matrix entries.
+// Pin the critical-path flops, messages and words of factor + solve at the
+// serving and factor_square shapes, of explicit_q (Q applied to n columns)
+// at 1024 x 512, and of plain TSQR at 8192 x 64.  The counts do not depend
+// on the matrix entries.
+//
+// TSQR's root broadcasts U right after its LU, so its own T solve (n^3
+// flops) and V solve (n^2 (m_p - n)) overlap the other ranks' V solves:
+// plain TSQR's critical path carries n^2 m_p = 8,388,608 fewer flops than
+// when the root broadcast U last (74,623,658.67).
 TEST(CostRegression, LeastSquaresSolveCountsArePinned) {
   using qr3d::la::index_t;
-  enum class Run { Solve, ExplicitQ };
+  enum class Run { Solve, ExplicitQ, Tsqr };
   const auto counts = [](index_t m, index_t n, int ranks, Run run) {
     la::Matrix A = la::random_matrix(m, n, 31);
     la::Matrix b = la::random_matrix(m, 1, 32);
     sim::Machine machine(ranks);
     machine.run([&](backend::Comm& c) {
+      if (run == Run::Tsqr) {
+        const index_t mp = m / ranks;
+        la::Matrix Al = la::copy<double>(A.block(c.rank() * mp, 0, mp, n));
+        (void)qr3d::core::tsqr(c, la::ConstMatrixView(Al.view()));
+        return;
+      }
       qr3d::Factorization f = qr3d::Solver().factor(qr3d::DistMatrix::from_global(c, A.view()));
       if (run == Run::Solve) {
         (void)f.solve_least_squares(qr3d::DistMatrix::from_global(c, b.view()));
@@ -467,15 +479,22 @@ TEST(CostRegression, LeastSquaresSolveCountsArePinned) {
     index_t m, n;
     int ranks;
     Run run;
-    double msgs, words;
+    double flops, msgs, words;
   };
-  for (const Case& w : {Case{8192, 64, 4, Run::Solve, 90, 70910},
-                        Case{1024, 512, 4, Run::Solve, 291, 4408218},
-                        Case{256, 24, 2, Run::Solve, 33, 5930},
-                        Case{1024, 512, 4, Run::ExplicitQ, 271, 8165328}}) {
+  const double tsqr_root_last = 74623658.666666657;
+  for (const Case& w :
+       {Case{8192, 64, 4, Run::Solve, 44596821.333333343, 90, 70910},
+        Case{1024, 512, 4, Run::Solve, 535338325.33333343, 291, 4408218},
+        Case{256, 24, 2, Run::Solve, 741552, 33, 5930},
+        Case{1024, 512, 4, Run::ExplicitQ, 871011669.33333349, 271, 8165328},
+        Case{8192, 64, 4, Run::Tsqr, tsqr_root_last - 64.0 * 64.0 * 2048.0, 10, 32896}}) {
+    const char* what = w.run == Run::Solve       ? " solve"
+                       : w.run == Run::ExplicitQ ? " explicit_q"
+                                                 : " tsqr";
     SCOPED_TRACE(std::to_string(w.m) + "x" + std::to_string(w.n) + " P=" +
-                 std::to_string(w.ranks) + (w.run == Run::Solve ? " solve" : " explicit_q"));
+                 std::to_string(w.ranks) + what);
     const sim::CostClock cp = counts(w.m, w.n, w.ranks, w.run);
+    EXPECT_DOUBLE_EQ(cp.flops, w.flops);
     EXPECT_DOUBLE_EQ(cp.msgs, w.msgs);
     EXPECT_DOUBLE_EQ(cp.words, w.words);
   }

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
+#include <type_traits>
 
 #include "la/blas.hpp"
 #include "la/checks.hpp"
@@ -391,8 +393,16 @@ class ScopedKernelMode {
   la::KernelMode saved_;
 };
 
-double rel_diff(const la::Matrix& got, const la::Matrix& want) {
-  return la::diff_norm(got.view(), want.view()) / (1.0 + la::frobenius_norm(want.view()));
+template <class T>
+double rel_diff(const la::MatrixT<T>& got, const la::MatrixT<T>& want) {
+  double err = 0.0, ref = 0.0;
+  for (index_t j = 0; j < want.cols(); ++j)
+    for (index_t i = 0; i < want.rows(); ++i) {
+      const double d = static_cast<double>(got(i, j)) - static_cast<double>(want(i, j));
+      err += d * d;
+      ref += static_cast<double>(want(i, j)) * static_cast<double>(want(i, j));
+    }
+  return std::sqrt(err) / (1.0 + std::sqrt(ref));
 }
 
 }  // namespace
@@ -477,28 +487,56 @@ TEST(BlockedKernels, ComplexGemmMatchesReference) {
 class BlockedTriangular
     : public ::testing::TestWithParam<std::tuple<la::Side, la::Uplo, la::Op, la::Diag>> {};
 
-TEST_P(BlockedTriangular, TrmmAndTrsmMatchReference) {
-  auto [side, uplo, op, diag] = GetParam();
-  // n = 130 crosses the TB = 64 diagonal-block boundary twice with remainder.
-  const index_t n = 130, w = 37;
-  la::Matrix T = la::random_matrix(n, n, 98);
-  la::make_triangular(uplo, T.view());
-  for (index_t i = 0; i < n; ++i) T(i, i) = 3.0 + 0.01 * static_cast<double>(i);
+namespace {
+
+template <class T>
+la::MatrixT<T> cast_matrix(const la::Matrix& a) {
+  la::MatrixT<T> out(a.rows(), a.cols());
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i) out(i, j) = static_cast<T>(a(i, j));
+  return out;
+}
+
+/// Blocked trmm and trsm against the reference nests at one shape.
+template <class T>
+void check_blocked_triangular(la::Side side, la::Uplo uplo, la::Op op, la::Diag diag, index_t n,
+                              index_t w, double tol) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " w=" + std::to_string(w) +
+               (std::is_same_v<T, float> ? " float" : " double"));
+  la::Matrix Td = la::random_matrix(n, n, 98);
+  la::make_triangular(uplo, Td.view());
+  for (index_t i = 0; i < n; ++i) Td(i, i) = 3.0 + 0.01 * static_cast<double>(i);
+  const la::MatrixT<T> Tri = cast_matrix<T>(Td);
   const index_t rows = (side == la::Side::Left) ? n : w;
   const index_t cols = (side == la::Side::Left) ? w : n;
-  la::Matrix B0 = la::random_matrix(rows, cols, 99);
+  const la::MatrixT<T> B0 = cast_matrix<T>(la::random_matrix(rows, cols, 99));
 
-  la::Matrix want = la::copy<double>(B0.view());
-  la::trmm_reference(side, uplo, op, diag, 1.5, la::ConstMatrixView(T.view()), want.view());
-  la::Matrix got = la::copy<double>(B0.view());
-  la::detail::trmm_blocked(side, uplo, op, diag, 1.5, la::ConstMatrixView(T.view()), got.view());
-  EXPECT_LT(rel_diff(got, want), 1e-11);
+  la::MatrixT<T> want = la::copy<T>(B0.view());
+  la::trmm_reference<T>(side, uplo, op, diag, T{1.5}, Tri.view(), want.view());
+  la::MatrixT<T> got = la::copy<T>(B0.view());
+  la::detail::trmm_blocked<T>(side, uplo, op, diag, T{1.5}, Tri.view(), got.view());
+  EXPECT_LT(rel_diff(got, want), tol);
 
-  want = la::copy<double>(B0.view());
-  la::trsm_reference(side, uplo, op, diag, 0.5, la::ConstMatrixView(T.view()), want.view());
-  got = la::copy<double>(B0.view());
-  la::detail::trsm_blocked(side, uplo, op, diag, 0.5, la::ConstMatrixView(T.view()), got.view());
-  EXPECT_LT(rel_diff(got, want), 1e-11);
+  want = la::copy<T>(B0.view());
+  la::trsm_reference<T>(side, uplo, op, diag, T{0.5}, Tri.view(), want.view());
+  got = la::copy<T>(B0.view());
+  la::detail::trsm_blocked<T>(side, uplo, op, diag, T{0.5}, Tri.view(), got.view());
+  EXPECT_LT(rel_diff(got, want), tol);
+}
+
+}  // namespace
+
+TEST_P(BlockedTriangular, TrmmAndTrsmMatchReference) {
+  auto [side, uplo, op, diag] = GetParam();
+  // Triangles around the right-side trsm's 8-column leaves and the TB = 64
+  // diagonal blocks (130 crosses that boundary twice with remainder), against
+  // a narrow and a tall panel.  Float runs too: CholeskyQR2's first pass
+  // solves in float.
+  for (index_t n : {1, 7, 8, 9, 31, 32, 33, 64, 65, 130})
+    for (index_t w : {37, 2048}) {
+      check_blocked_triangular<double>(side, uplo, op, diag, n, w, 1e-11);
+      check_blocked_triangular<float>(side, uplo, op, diag, n, w, 1e-5);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "accuracy.hpp"
@@ -359,6 +360,60 @@ TEST(CaqrEg3d, BaseConversionPlanInvariants) {
     // The phase-2 swap is an exchange: counts match per rep.
     for (int g = 1; g < plan.Pstar; ++g)
       EXPECT_EQ(plan.top_rows[g].size(), plan.given_rows[g].size());
+  }
+}
+
+// With b = n, 3D-CAQR-EG is the Section 7.1 base case alone: a conversion
+// that only moves rows, 1D-CAQR-EG on the representatives, and the reverse
+// moves.  So its factors must be bit for bit those of 1D-CAQR-EG run on each
+// representative's rows in BaseConversionPlan::final_rows order.
+TEST(CaqrEg3d, BaseCaseIsARowPermutationOfOneD) {
+  struct Shape {
+    index_t m, n;
+    int P;
+    index_t bstar;
+  };
+  for (const Shape& s : {Shape{48, 8, 4, 2},     // P* = P, every group one rank
+                         Shape{256, 24, 2, 24},  // P* = P, a served shape
+                         Shape{61, 7, 5, 3},     // P* = P, P does not divide m
+                         Shape{20, 8, 4, 4},     // P* = 2 < P
+                         Shape{30, 8, 4, 8},     // P* = 2 < P, P does not divide m
+                         Shape{10, 3, 16, 1}}) { // P > m: 10 ranks own rows, P* = 3
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n) + " P=" + std::to_string(s.P));
+    la::Matrix A = la::random_matrix(s.m, s.n, 4000 + static_cast<unsigned>(s.m));
+    core::CaqrEg3dOptions opts;
+    opts.b = s.n;
+    opts.b_star = s.bstar;
+    const Assembled f3 = run_3d(A, s.P, opts);
+
+    const auto plan = core::detail::BaseConversionPlan::make(s.m, s.n, s.P);
+    sim::Machine machine(plan.Pstar);
+    std::vector<la::Matrix> vs(static_cast<std::size_t>(plan.Pstar));
+    Assembled f1;
+    machine.run([&](backend::Comm& c) {
+      const auto& rows = plan.final_rows[static_cast<std::size_t>(c.rank())];
+      la::Matrix Al(static_cast<index_t>(rows.size()), s.n);
+      for (std::size_t k = 0; k < rows.size(); ++k)
+        for (index_t j = 0; j < s.n; ++j) Al(static_cast<index_t>(k), j) = A(rows[k], j);
+      core::CaqrEg1dOptions inner;
+      inner.b = s.bstar;
+      core::DistributedQr r = core::caqr_eg_1d(c, la::ConstMatrixView(Al.view()), inner);
+      vs[static_cast<std::size_t>(c.rank())] = std::move(r.V);
+      if (c.rank() == 0) {
+        f1.T = std::move(r.T);
+        f1.R = std::move(r.R);
+      }
+    });
+    f1.V = la::Matrix(s.m, s.n);
+    for (int g = 0; g < plan.Pstar; ++g) {
+      const auto& rows = plan.final_rows[static_cast<std::size_t>(g)];
+      for (std::size_t k = 0; k < rows.size(); ++k)
+        for (index_t j = 0; j < s.n; ++j)
+          f1.V(rows[k], j) = vs[static_cast<std::size_t>(g)](static_cast<index_t>(k), j);
+    }
+    EXPECT_TRUE(f3.V == f1.V);
+    EXPECT_TRUE(f3.T == f1.T);
+    EXPECT_TRUE(f3.R == f1.R);
   }
 }
 
